@@ -210,7 +210,7 @@ def compare(
     exact = covariance(params, i, j)
     if params.n_sites <= ENUMERATION_CAP:
         check = covariance_enum(params, i, j)
-        if abs(check - exact) > _ORACLE_CHECK_TOL:
+        if not math.isfinite(check) or abs(check - exact) > _ORACLE_CHECK_TOL:
             raise OracleMismatchError(
                 f"solver covariance {exact!r} vs enumeration {check!r} at ({i}, {j})"
             )

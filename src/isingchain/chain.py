@@ -17,11 +17,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
 from .errors import CapacityError, ParseError, PreconditionError
+
+if TYPE_CHECKING:
+    from .transfer import ChainSweep
 
 # 2^24 configurations is the largest exact sum we allow.
 ENUMERATION_CAP = 24
@@ -58,12 +62,23 @@ class ChainParams:
     def n_edges(self) -> int:
         return len(self.couplings)
 
-    def absolute(self) -> "ChainParams":
-        """The instance with |J|, |h| entrywise."""
+    @cached_property
+    def sweep(self) -> "ChainSweep":
+        """The forward/backward message pass over this instance, built once."""
+        from .transfer import ChainSweep
+
+        return ChainSweep(self)
+
+    @cached_property
+    def _absolute(self) -> "ChainParams":
         return ChainParams(
             tuple(abs(j) for j in self.couplings),
             tuple(abs(v) for v in self.fields),
         )
+
+    def absolute(self) -> "ChainParams":
+        """The instance with |J|, |h| entrywise; built once per instance."""
+        return self._absolute
 
     def reflected(self) -> "ChainParams":
         """The instance read right-to-left (site x -> N - x)."""
@@ -172,8 +187,33 @@ def _energy_blocks(params: ChainParams) -> Iterator[tuple[np.ndarray, np.ndarray
         yield spins, energy
 
 
+def _weighted_blocks(
+    params: ChainParams,
+) -> Iterator[tuple[np.ndarray, np.ndarray, float, float]]:
+    """Yield (spins, w, rescale, shift) per block, w = exp(-energy - shift).
+
+    shift is the largest -energy seen so far, so no weight overflows however
+    large |J| and |h| are. When a block raises it, sums carried over from the
+    earlier blocks must be multiplied by rescale = exp(old - new shift) before
+    the block's weights are added; otherwise rescale is 1. Ratios of sums are
+    shift-free; log Z is the final shift plus the log of the weight sum.
+    """
+    shift = -math.inf
+    for spins, energy in _energy_blocks(params):
+        rescale = 1.0
+        top = -float(energy.min())
+        if top > shift:
+            rescale = math.exp(shift - top)
+            shift = top
+        yield spins, np.exp(-shift - energy), rescale, shift
+
+
 def partition_function_enum(params: ChainParams) -> float:
-    """Z = sum over all configurations of exp(-H); strictly positive."""
+    """Z = sum over all configurations of exp(-H); strictly positive.
+
+    Z itself overflows to inf once log Z passes about 709; enum_summary gives
+    log Z for such instances.
+    """
     _require_enumerable(params)
     z = 0.0
     for _, energy in _energy_blocks(params):
@@ -187,13 +227,12 @@ def expectation_enum(params: ChainParams, sites: Sequence[int]) -> float:
     cols = sorted({_check_site(params, x) for x in sites})
     num = 0.0
     den = 0.0
-    for spins, energy in _energy_blocks(params):
-        w = np.exp(-energy)
-        den += float(w.sum())
+    for spins, w, rescale, _ in _weighted_blocks(params):
+        den = den * rescale + float(w.sum())
         if cols:
-            num += float((w * spins[:, cols].prod(axis=1)).sum())
+            num = num * rescale + float((w * spins[:, cols].prod(axis=1)).sum())
         else:
-            num += float(w.sum())
+            num = num * rescale + float(w.sum())
     return num / den
 
 
@@ -205,14 +244,13 @@ def covariance_enum(params: ChainParams, i: int, j: int) -> float:
     if i == j:
         raise PreconditionError("covariance needs two distinct sites")
     z = s_i = s_j = s_ij = 0.0
-    for spins, energy in _energy_blocks(params):
-        w = np.exp(-energy)
+    for spins, w, rescale, _ in _weighted_blocks(params):
         si = spins[:, i]
         sj = spins[:, j]
-        z += float(w.sum())
-        s_i += float((w * si).sum())
-        s_j += float((w * sj).sum())
-        s_ij += float((w * si * sj).sum())
+        z = z * rescale + float(w.sum())
+        s_i = s_i * rescale + float((w * si).sum())
+        s_j = s_j * rescale + float((w * sj).sum())
+        s_ij = s_ij * rescale + float((w * si * sj).sum())
     return s_ij / z - (s_i / z) * (s_j / z)
 
 
@@ -230,9 +268,9 @@ def window_marginal_enum(params: ChainParams, i: int, j: int) -> np.ndarray:
     width = j - i + 1
     out = np.zeros(1 << width, dtype=np.float64)
     weights_idx = 1 << np.arange(width, dtype=np.int64)
-    for spins, energy in _energy_blocks(params):
-        w = np.exp(-energy)
+    for spins, w, rescale, _ in _weighted_blocks(params):
         bits = (spins[:, i : j + 1] < 0).astype(np.int64)
+        out *= rescale
         out += np.bincount(bits @ weights_idx, weights=w, minlength=1 << width)
     return out / out.sum()
 
@@ -254,14 +292,14 @@ def enum_summary(
         j = _check_site(params, j, "j")
         if i == j:
             raise PreconditionError("covariance needs two distinct sites")
-    z = s_ij = 0.0
+    z = s_ij = shift = 0.0
     sums = np.zeros(params.n_sites, dtype=np.float64)
-    for spins, energy in _energy_blocks(params):
-        w = np.exp(-energy)
-        z += float(w.sum())
+    for spins, w, rescale, shift in _weighted_blocks(params):
+        z = z * rescale + float(w.sum())
+        sums *= rescale
         sums += w @ spins
         if pair:
-            s_ij += float((w * spins[:, i] * spins[:, j]).sum())
+            s_ij = s_ij * rescale + float((w * spins[:, i] * spins[:, j]).sum())
     means = sums / z
     cov = s_ij / z - means[i] * means[j] if pair else None
-    return math.log(z), means, cov
+    return shift + math.log(z), means, cov

@@ -58,19 +58,17 @@ def remove_end_site(j_edge: float, h_outer: float) -> SiteRemoval:
 def truncate(params: ChainParams, i: int, j: int) -> TruncatedModel:
     """Integrate out all sites outside [i, j], i < j.
 
-    Removals at the two ends never touch the same field, so the result does
-    not depend on the order in which the ends are processed.
+    The end fields are read from the instance's cached sweep, which removes
+    the sites one at a time with the remove_end_site arithmetic. Removals at
+    the two ends never touch the same field, so the result does not depend on
+    the order in which the ends are processed.
     """
     i = _check_site(params, i, "i")
     j = _check_site(params, j, "j")
     if i >= j:
         raise PreconditionError("truncate needs i < j")
-    h_right = params.fields[-1]
-    for k in range(params.n_sites - 2, j - 1, -1):
-        h_right = params.fields[k] + remove_end_site(params.couplings[k], h_right).b_shift
-    h_left = params.fields[0]
-    for k in range(i):
-        h_left = params.fields[k + 1] + remove_end_site(params.couplings[k], h_left).b_shift
+    h_left = params.sweep.left_field[i]
+    h_right = params.sweep.right_field[j]
     window_params = ChainParams(
         params.couplings[i:j],
         (h_left,) + params.fields[i + 1 : j] + (h_right,),

@@ -19,6 +19,9 @@ import numpy as np
 from .chain import ChainParams
 from .errors import ParseError, PreconditionError
 
+# Seeds are integers in [0, SEED_LIMIT).
+SEED_LIMIT = 2**63
+
 
 @dataclass(frozen=True)
 class DistSpec:
@@ -69,13 +72,16 @@ class DistSpec:
 
 def _flip_probs(raw: Any) -> tuple[float, float]:
     """Normalize a sign-flip setting to (coupling prob, field prob)."""
-    if isinstance(raw, dict):
-        extra = set(raw) - {"J", "h"}
-        if extra:
-            raise ParseError(f"unknown sign-flip keys {sorted(extra)}")
-        pj, ph = float(raw.get("J", 0.0)), float(raw.get("h", 0.0))
-    else:
-        pj = ph = float(raw)
+    try:
+        if isinstance(raw, dict):
+            extra = set(raw) - {"J", "h"}
+            if extra:
+                raise ParseError(f"unknown sign-flip keys {sorted(extra)}")
+            pj, ph = float(raw.get("J", 0.0)), float(raw.get("h", 0.0))
+        else:
+            pj = ph = float(raw)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"bad sign_flip_prob: {exc}") from exc
     for p in (pj, ph):
         if not 0.0 <= p <= 1.0:
             raise PreconditionError("sign-flip probabilities must lie in [0, 1]")
@@ -103,6 +109,8 @@ class InstanceSpec:
         object.__setattr__(self, "n_sites", int(self.n_sites))
         if self.seed is not None:
             object.__setattr__(self, "seed", int(self.seed))
+            if not 0 <= self.seed < SEED_LIMIT:
+                raise PreconditionError(f"seed {self.seed} outside [0, 2**63)")
         _flip_probs({"J": self.coupling_flip_prob, "h": self.field_flip_prob})
 
     def to_json(self) -> dict[str, Any]:
@@ -177,4 +185,4 @@ def instance_seeds(root_seed: int, count: int) -> list[int]:
     if count < 0:
         raise PreconditionError("count must be nonnegative")
     rng = np.random.default_rng(root_seed)
-    return [int(s) for s in rng.integers(0, 2**63 - 1, size=count)]
+    return [int(s) for s in rng.integers(0, SEED_LIMIT - 1, size=count)]

@@ -3,7 +3,10 @@
 Messages are the relative weights of sigma_x = +1 / -1 once everything on one
 side of site x has been summed out. They are propagated in log domain and
 renormalized at every site, so the recursion survives |J|, |h| up to ~1e3 and
-chains of 1e6 sites without overflow or total underflow.
+chains of 1e6 sites without overflow or total underflow. One forward and one
+backward pass (ChainSweep) store the message into every site; the sweep is
+built once per ChainParams and cached on it, so log Z and each site mean cost
+O(1) after it and a pair costs O(j - i).
 
 The covariance is NOT computed as pair_expectation minus the product of site
 means: that difference cancels catastrophically once the covariance is
@@ -21,134 +24,93 @@ result keeps full relative precision however small it is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from array import array
+from typing import Sequence
 
 from .chain import ChainParams, _check_site
 from .errors import DecayRateUndefinedError, PreconditionError
 from .numeric import log_add_exp, log_cosh, log_sinh_abs
 
 
-@dataclass(frozen=True)
-class MessageState:
-    """One renormalized message: weights (w_plus, w_minus) with max = 1."""
+def _pass(
+    couplings: Sequence[float], fields: Sequence[float]
+) -> tuple[array, array, float]:
+    """One left-to-right pass: (message gaps, effective fields, log Z).
 
-    weights: tuple[float, float]
-    log_scale: float
-
-
-def _forward_sweep(params: ChainParams, stop: int) -> list[tuple[float, float]]:
-    """Log-weight pairs of the message into sites 0..stop.
-
-    Entry x is the message into site x with sites < x summed out (their fields
-    absorbed, h_x not). Pairs are shifted so the larger component is 0.
+    Gap x is lp - lm of the renormalized log-message into site x with the
+    sites < x summed out (their fields absorbed, h_x not). The pair is shifted
+    so its larger component is exactly 0, so the gap alone restores it.
+    Effective field x is the field on x once the sites < x are removed one at
+    a time; each step adds remove_end_site(J, h_outer).b_shift, inlined
+    because the call and its record cost four times the arithmetic.
     """
-    out = [(0.0, 0.0)]
-    lp = lm = 0.0
-    for y in range(stop):
-        hy = params.fields[y]
-        jy = params.couplings[y]
+    gaps = array("d", [0.0])
+    eff = array("d", [fields[0]])
+    scale = lp = lm = 0.0
+    h_eff = fields[0]
+    for y, jy in enumerate(couplings):
+        hy = fields[y]
         ap, am = lp + hy, lm - hy
         lp = log_add_exp(ap + jy, am - jy)
         lm = log_add_exp(ap - jy, am + jy)
         shift = lp if lp >= lm else lm
         lp, lm = lp - shift, lm - shift
-        out.append((lp, lm))
-    return out
+        scale += shift
+        gaps.append(lp - lm)
+        h_eff = fields[y + 1] + 0.5 * (log_cosh(jy + h_eff) - log_cosh(jy - h_eff))
+        eff.append(h_eff)
+    h_last = fields[-1]
+    return gaps, eff, scale + log_add_exp(lp + h_last, lm - h_last)
 
 
-def _backward_sweep(params: ChainParams, start: int) -> list[tuple[float, float]]:
-    """Log-weight pairs of the message into sites start..N, mirrored.
+def _pair(gap: float) -> tuple[float, float]:
+    return (0.0, -gap) if gap > 0.0 else (gap, 0.0)
 
-    Entry x - start is the message into site x with sites > x summed out.
+
+class ChainSweep:
+    """Forward and backward message passes over one chain, stored per site.
+
+    Built once per ChainParams (``params.sweep``) in O(N). The backward pass is
+    the forward pass over the reflected chain, read back in site order.
+
+    * ``log_z``: log Z, accumulated by the forward pass.
+    * ``forward(x)`` / ``backward(x)``: shifted log-weights (lp, lm) of the
+      message into x from the left / right.
+    * ``left_field[x]`` / ``right_field[x]``: field on x once every site left /
+      right of x is summed out (the end fields of ``truncate``).
     """
-    n = params.n_sites
-    out = [(0.0, 0.0)] * (n - start)
-    lp = lm = 0.0
-    for y in range(n - 2, start - 1, -1):
-        hy = params.fields[y + 1]
-        jy = params.couplings[y]
-        ap, am = lp + hy, lm - hy
-        lp = log_add_exp(jy + ap, -jy + am)
-        lm = log_add_exp(-jy + ap, jy + am)
-        shift = lp if lp >= lm else lm
-        lp, lm = lp - shift, lm - shift
-        out[y - start] = (lp, lm)
-    return out
 
+    def __init__(self, params: ChainParams) -> None:
+        self._fields = params.fields
+        self._fwd, self.left_field, self.log_z = _pass(params.couplings, params.fields)
+        self._bwd, self.right_field, _ = _pass(
+            params.couplings[::-1], params.fields[::-1]
+        )
+        self._bwd.reverse()
+        self.right_field.reverse()
 
-def _as_message(pair: tuple[float, float], log_scale: float = 0.0) -> MessageState:
-    lp, lm = pair
-    return MessageState((math.exp(lp), math.exp(lm)), log_scale)
+    def forward(self, x: int) -> tuple[float, float]:
+        return _pair(self._fwd[x])
 
+    def backward(self, x: int) -> tuple[float, float]:
+        return _pair(self._bwd[x])
 
-def forward_message(params: ChainParams, x: int) -> MessageState:
-    """Renormalized message into site x from the left (fields < x absorbed)."""
-    x = _check_site(params, x)
-    scale = 0.0
-    lp = lm = 0.0
-    for y in range(x):
-        hy = params.fields[y]
-        jy = params.couplings[y]
-        ap, am = lp + hy, lm - hy
-        nlp = log_add_exp(ap + jy, am - jy)
-        nlm = log_add_exp(ap - jy, am + jy)
-        shift = nlp if nlp >= nlm else nlm
-        lp, lm = nlp - shift, nlm - shift
-        scale += shift
-    return _as_message((lp, lm), scale)
-
-
-def backward_message(params: ChainParams, x: int) -> MessageState:
-    """Renormalized message into site x from the right (fields > x absorbed)."""
-    x = _check_site(params, x)
-    scale = 0.0
-    lp = lm = 0.0
-    for y in range(params.n_sites - 2, x - 1, -1):
-        hy = params.fields[y + 1]
-        jy = params.couplings[y]
-        ap, am = lp + hy, lm - hy
-        nlp = log_add_exp(jy + ap, -jy + am)
-        nlm = log_add_exp(-jy + ap, jy + am)
-        shift = nlp if nlp >= nlm else nlm
-        lp, lm = nlp - shift, nlm - shift
-        scale += shift
-    return _as_message((lp, lm), scale)
+    def delta(self, x: int) -> float:
+        """Log-weight gap of sigma_x = +1 over -1."""
+        fwd, bwd = self.forward(x), self.backward(x)
+        hx = self._fields[x]
+        return (fwd[0] + hx + bwd[0]) - (fwd[1] - hx + bwd[1])
 
 
 def log_partition(params: ChainParams) -> float:
     """log Z, exact up to rounding, finite for any finite parameters."""
-    scale = 0.0
-    lp = lm = 0.0
-    for y in range(params.n_edges):
-        hy = params.fields[y]
-        jy = params.couplings[y]
-        ap, am = lp + hy, lm - hy
-        nlp = log_add_exp(ap + jy, am - jy)
-        nlm = log_add_exp(ap - jy, am + jy)
-        shift = nlp if nlp >= nlm else nlm
-        lp, lm = nlp - shift, nlm - shift
-        scale += shift
-    h_last = params.fields[-1]
-    return scale + log_add_exp(lp + h_last, lm - h_last)
-
-
-def _site_delta(
-    params: ChainParams,
-    x: int,
-    fwd: tuple[float, float],
-    bwd: tuple[float, float],
-) -> float:
-    """Log-weight gap of sigma_x = +1 over -1 given both messages into x."""
-    hx = params.fields[x]
-    return (fwd[0] + hx + bwd[0]) - (fwd[1] - hx + bwd[1])
+    return params.sweep.log_z
 
 
 def site_mean(params: ChainParams, x: int) -> float:
     """<sigma_x>; strictly inside (-1, 1) for finite parameters."""
     x = _check_site(params, x)
-    fwd = _forward_sweep(params, x)[x]
-    bwd = _backward_sweep(params, x)[0]
-    return math.tanh(0.5 * _site_delta(params, x, fwd, bwd))
+    return math.tanh(0.5 * params.sweep.delta(x))
 
 
 def pair_expectation(params: ChainParams, i: int, j: int) -> float:
@@ -157,8 +119,8 @@ def pair_expectation(params: ChainParams, i: int, j: int) -> float:
     j = _check_site(params, j, "j")
     if i >= j:
         raise PreconditionError("pair_expectation needs i < j")
-    fwd = _forward_sweep(params, i)[i]
-    bwd = _backward_sweep(params, j)[0]
+    sweep = params.sweep
+    fwd, bwd = sweep.forward(i), sweep.backward(j)
     # 2x2 log-weight table over (sigma_i, sigma_x), propagated from x = i to j.
     hi = params.fields[i]
     g = [[fwd[0] + hi, -math.inf], [-math.inf, fwd[1] - hi]]
@@ -216,8 +178,7 @@ def covariance(params: ChainParams, i: int, j: int) -> float:
         raise PreconditionError("covariance needs two distinct sites")
     if i > j:
         i, j = j, i
-    fwd = _forward_sweep(params, j)
-    bwd = _backward_sweep(params, i)
+    sweep = params.sweep
     log_total = 0.0
     negative = False
     for k in range(i, j):
@@ -225,11 +186,12 @@ def covariance(params: ChainParams, i: int, j: int) -> float:
             return 0.0
         if params.couplings[k] < 0.0:
             negative = not negative
-        log_total += _adjacent_log_cov(params, k, fwd[k], bwd[k + 1 - i])
+        log_total += _adjacent_log_cov(
+            params, k, sweep.forward(k), sweep.backward(k + 1)
+        )
     for k in range(i + 1, j):
-        delta = _site_delta(params, k, fwd[k], bwd[k - i])
         # divide by var(sigma_k) = sech^2(delta/2)
-        log_total += 2.0 * log_cosh(0.5 * delta)
+        log_total += 2.0 * log_cosh(0.5 * sweep.delta(k))
     value = math.exp(log_total)
     return -value if negative else value
 

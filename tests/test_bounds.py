@@ -279,6 +279,19 @@ class TestCompareAndReport:
         with pytest.raises(OracleMismatchError):
             compare(p, 0, 1)
 
+    def test_nonfinite_oracle_is_a_mismatch(self, monkeypatch):
+        import isingchain.bounds as bounds_mod
+
+        monkeypatch.setattr(bounds_mod, "covariance_enum", lambda *a: math.nan)
+        with pytest.raises(OracleMismatchError):
+            compare(ChainParams((1.0,), (0.1, 0.2)), 0, 1)
+
+    def test_strong_coupling_passes_oracle_check(self):
+        p = ChainParams((700.0, 700.0), (0.1, 0.2, 0.3))
+        report = compare(p, 0, 2)
+        assert report.exact == pytest.approx(1.0 / math.cosh(0.6) ** 2, rel=1e-12)
+        assert not report.violations()
+
 
 class TestFormatCell:
     def test_formats(self):

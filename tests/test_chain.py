@@ -21,6 +21,7 @@ from isingchain import (
     sign_split,
     window_marginal_enum,
 )
+from isingchain import covariance, log_partition, site_mean
 
 finite_floats = st.floats(
     min_value=-5.0, max_value=5.0, allow_nan=False, allow_infinity=False
@@ -222,6 +223,37 @@ class TestEnumerationOracle:
             enum_summary(p, 0, None)
         with pytest.raises(PreconditionError):
             enum_summary(p, 1, 1)
+
+
+class TestOracleStrongCoupling:
+    """exp(-H) overflows for these chains; the oracle must shift its weights.
+
+    The 17-site chain spans two enumeration blocks and its heaviest
+    configuration (all spins -1) lies in the second, so the running shift
+    rises between blocks and the first block's sums are rescaled.
+    """
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ChainParams((700.0, 700.0), (0.1, 0.2, 0.3)),
+            ChainParams((400.0,) * 16, (-0.3,) * 17),
+        ],
+    )
+    def test_matches_solver(self, params):
+        n = params.n_sites
+        log_z, means, cov = enum_summary(params, 0, n - 1)
+        assert log_z == pytest.approx(log_partition(params), rel=1e-12)
+        for x in range(n):
+            assert means[x] == pytest.approx(site_mean(params, x), abs=1e-12)
+        assert cov == pytest.approx(covariance(params, 0, n - 1), rel=1e-9)
+        assert covariance_enum(params, 0, n - 1) == pytest.approx(cov, rel=1e-12)
+        assert expectation_enum(params, (0,)) == pytest.approx(means[0], rel=1e-12)
+        marg = window_marginal_enum(params, 0, 1)
+        assert np.all(np.isfinite(marg)) and marg.sum() == pytest.approx(1.0)
+        assert marg[0] - marg[3] == pytest.approx(
+            0.5 * (means[0] + means[1]), abs=1e-12
+        )
 
 
 class TestModelSymmetries:

@@ -2,12 +2,15 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from isingchain import ChainParams, covariance
+import isingchain
+from isingchain import BoundReport, ChainParams, covariance
 from isingchain.cli import main
 from isingchain.currents import McEstimate
 
@@ -33,6 +36,27 @@ def csv_rows(text):
 def kv_csv(text):
     _, rows = csv_rows(text)
     return {key: value for key, value in rows}
+
+
+@pytest.fixture
+def violating_compare(monkeypatch):
+    """Make every report the CLI gets shift each bound 1 below its value."""
+    import isingchain.cli as cli_mod
+
+    real_compare = cli_mod.compare
+
+    def compare(params, i, j, proof_route=False):
+        report = real_compare(params, i, j, proof_route=proof_route)
+        bounds = {k: v - 1.0 for k, v in report.bounds.items()}
+        slacks = {
+            k: v - (abs(report.exact) if k == "lemma3" else report.exact)
+            for k, v in bounds.items()
+        }
+        return BoundReport(
+            i=report.i, j=report.j, exact=report.exact, bounds=bounds, slacks=slacks
+        )
+
+    monkeypatch.setattr(cli_mod, "compare", compare)
 
 
 @pytest.fixture
@@ -114,6 +138,31 @@ class TestExact:
         code, out, _ = run(capsys, "exact", "--instance", big, "--out", "json")
         assert code == 0
         assert "enum_check" not in json.loads(out)
+
+    def test_strong_coupling_oracle_stays_finite(self, capsys, tmp_path):
+        # weights exp(-H) overflow here unless the oracle shifts them
+        inst = write_json(
+            tmp_path, "strong.json", {"J": [700, 700], "h": [0.1, 0.2, 0.3]}
+        )
+        code, out, _ = run(capsys, "exact", "--instance", inst, "--i", "0", "--j", "2")
+        assert code == 0
+        values = {k: float(v) for k, v in kv_csv(out).items()}
+        assert all(math.isfinite(v) for v in values.values())
+        assert values["enum_log_partition"] == pytest.approx(
+            values["log_partition"], rel=1e-12
+        )
+        assert values["enum_max_mean_abs_diff"] <= 1e-12
+        assert values["enum_covariance"] == pytest.approx(
+            values["covariance"], rel=1e-9
+        )
+
+    def test_nonfinite_oracle_exits_1(self, capsys, ferro, monkeypatch):
+        monkeypatch.setattr(
+            "isingchain.cli.enum_summary",
+            lambda params, i, j: (math.nan, [0.0] * params.n_sites, None),
+        )
+        code, out, err = run(capsys, "exact", "--instance", ferro)
+        assert code == 1 and out == "" and "internal error" in err
 
     def test_spec_draws_and_echoes_seed(self, capsys, tmp_path):
         spec = write_json(tmp_path, "spec.json", {"n_sites": 4})
@@ -215,9 +264,9 @@ class TestBounds:
         )
         assert doc["thm1"] >= doc["exact"] - 1e-12
 
-    def test_tamper_forces_exit_4(self, capsys, ferro):
+    def test_tamper_forces_exit_4(self, capsys, ferro, violating_compare):
         code, _, err = run(
-            capsys, "bounds", "--instance", ferro, "--i", "0", "--j", "2", "--tamper"
+            capsys, "bounds", "--instance", ferro, "--i", "0", "--j", "2"
         )
         assert code == 4 and "bound violation" in err
 
@@ -277,11 +326,9 @@ class TestSweep:
         )
         assert out_spec != out_flag
 
-    def test_tamper_forces_exit_4(self, capsys, tmp_path):
+    def test_tamper_forces_exit_4(self, capsys, tmp_path, violating_compare):
         spec = write_json(tmp_path, "spec.json", {"n_sites": 5, "seed": 11})
-        code, _, err = run(
-            capsys, "sweep", "--spec", spec, "--count", "2", "--tamper"
-        )
+        code, _, err = run(capsys, "sweep", "--spec", spec, "--count", "2")
         assert code == 4 and "bound violations: 2" in err
 
     def test_json_output(self, capsys, tmp_path):
@@ -450,12 +497,56 @@ class TestDecay:
         assert run(capsys, "decay", "--spec", anti)[0] == 3
 
 
+class TestInputValidation:
+    @pytest.mark.parametrize("seed", ["-3", str(2**63), "abc"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("exact", "--spec", "SPEC"),
+            ("sweep", "--spec", "SPEC", "--count", "1"),
+            ("mc", "--spec", "SPEC", "--i", "0", "--j", "1", "--samples", "10"),
+        ],
+    )
+    def test_seed_flag_out_of_range(self, capsys, tmp_path, command, seed):
+        spec = write_json(tmp_path, "spec.json", {"n_sites": 3})
+        argv = [spec if a == "SPEC" else a for a in command]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", seed])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --seed" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("exact",),
+            ("sweep", "--count", "1"),
+            ("mc", "--i", "0", "--j", "1", "--samples", "10"),
+            ("decay",),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "fields",
+        [{"seed": -4}, {"seed": 2**63}, {"sign_flip_prob": "abc"},
+         {"sign_flip_prob": {"h": "abc"}}],
+    )
+    def test_bad_spec_field(self, capsys, tmp_path, command, fields):
+        spec = write_json(tmp_path, "spec.json", {"n_sites": 3, **fields})
+        code, out, err = run(capsys, command[0], "--spec", spec, *command[1:])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m(self):
+        # the child imports the same package as this process, installed or not
+        package_root = str(Path(isingchain.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "isingchain", "--help"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "exact" in proc.stdout and "decay" in proc.stdout

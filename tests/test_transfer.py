@@ -21,7 +21,6 @@ from isingchain import (
     site_mean,
 )
 from isingchain.numeric import log_add_exp, log_cosh, log_sinh_abs
-from isingchain.transfer import backward_message, forward_message
 
 from conftest import random_params
 
@@ -111,9 +110,10 @@ class TestSiteMean:
     def test_messages_normalized(self):
         p = ChainParams((2.0, -1.0), (0.5, -0.5, 1.0))
         for x in range(3):
-            for msg in (forward_message(p, x), backward_message(p, x)):
-                assert max(msg.weights) == pytest.approx(1.0, abs=0.0)
-                assert min(msg.weights) > 0.0
+            for msg in (p.sweep.forward(x), p.sweep.backward(x)):
+                weights = tuple(math.exp(v) for v in msg)
+                assert max(weights) == pytest.approx(1.0, abs=0.0)
+                assert min(weights) > 0.0
 
 
 class TestPairExpectation:

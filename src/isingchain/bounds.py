@@ -27,7 +27,7 @@ from .chain import ChainParams, _check_site, covariance_enum, ENUMERATION_CAP, s
 from .effective_field import truncate
 from .errors import OracleMismatchError, PreconditionError
 from .numeric import log_cosh
-from .transfer import covariance, log_partition
+from .transfer import covariance, log_abs_covariance, log_partition
 
 # Slack below -DOMINANCE_TOL counts as a violated bound.
 DOMINANCE_TOL = 1e-12
@@ -129,15 +129,19 @@ def bound_signed_field(
 def bound_abs_envelope(params: ChainParams, i: int, j: int) -> float:
     """cov of the |J|, |h| model times the squared partition ratio Z_abs/Z.
 
-    Dominates |cov| of the signed model with no sign restrictions at all.
+    Dominates |cov| of the signed model with no sign restrictions at all. The
+    ratio grows like exp(4 sum |h-|), so the bound is inf once it passes the
+    float range.
     """
     i, j = _require_window(params, i, j)
     abs_params = params.absolute()
-    cov_abs = covariance(abs_params, i, j)
-    if cov_abs <= 0.0:
-        return 0.0
+    # In log domain: cov_abs alone can underflow where the product does not.
+    log_cov_abs, _ = log_abs_covariance(abs_params, i, j)
     log_ratio = log_partition(abs_params) - log_partition(params)
-    return math.exp(math.log(cov_abs) + 2.0 * log_ratio)
+    try:
+        return math.exp(log_cov_abs + 2.0 * log_ratio)
+    except OverflowError:
+        return math.inf
 
 
 def partition_ratio_lower(params: ChainParams) -> tuple[float, float]:

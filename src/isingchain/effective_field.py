@@ -69,7 +69,7 @@ def truncate(params: ChainParams, i: int, j: int) -> TruncatedModel:
         raise PreconditionError("truncate needs i < j")
     h_left = params.sweep.left_field[i]
     h_right = params.sweep.right_field[j]
-    window_params = ChainParams(
+    window_params = ChainParams._derived(
         params.couplings[i:j],
         (h_left,) + params.fields[i + 1 : j] + (h_right,),
     )

@@ -46,7 +46,10 @@ class DistSpec:
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.kind == "constant":
             return np.full(size, self.value, dtype=np.float64)
-        return rng.uniform(self.low, self.high, size=size)
+        try:
+            return rng.uniform(self.low, self.high, size=size)
+        except OverflowError as exc:
+            raise PreconditionError(f"cannot draw from uniform: {exc}") from None
 
     def to_json(self) -> dict[str, Any]:
         if self.kind == "constant":
@@ -65,7 +68,7 @@ class DistSpec:
                 return DistSpec(
                     kind="uniform", low=float(obj["low"]), high=float(obj["high"])
                 )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"bad {kind} distribution: {exc}") from exc
         raise ParseError(f"unknown distribution type {kind!r}")
 
@@ -80,7 +83,7 @@ def _flip_probs(raw: Any) -> tuple[float, float]:
             pj, ph = float(raw.get("J", 0.0)), float(raw.get("h", 0.0))
         else:
             pj = ph = float(raw)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad sign_flip_prob: {exc}") from exc
     for p in (pj, ph):
         if not 0.0 <= p <= 1.0:
@@ -145,7 +148,7 @@ class InstanceSpec:
         try:
             n_sites = int(obj.get("n_sites", defaults.n_sites))
             seed = int(obj["seed"]) if obj.get("seed") is not None else None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"bad instance-spec field: {exc}") from exc
         j_dist = (
             DistSpec.from_json(obj["J"]) if "J" in obj else defaults.coupling_dist

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from functools import cached_property
 from typing import Sequence
 
 from .chain import ChainParams, _check_site
@@ -32,22 +33,15 @@ from .errors import DecayRateUndefinedError, PreconditionError
 from .numeric import log_add_exp, log_cosh, log_sinh_abs
 
 
-def _pass(
-    couplings: Sequence[float], fields: Sequence[float]
-) -> tuple[array, array, float]:
-    """One left-to-right pass: (message gaps, effective fields, log Z).
+def _pass(couplings: Sequence[float], fields: Sequence[float]) -> tuple[array, float]:
+    """One left-to-right message pass: (message gaps, log Z).
 
     Gap x is lp - lm of the renormalized log-message into site x with the
     sites < x summed out (their fields absorbed, h_x not). The pair is shifted
     so its larger component is exactly 0, so the gap alone restores it.
-    Effective field x is the field on x once the sites < x are removed one at
-    a time; each step adds remove_end_site(J, h_outer).b_shift, inlined
-    because the call and its record cost four times the arithmetic.
     """
     gaps = array("d", [0.0])
-    eff = array("d", [fields[0]])
     scale = lp = lm = 0.0
-    h_eff = fields[0]
     for y, jy in enumerate(couplings):
         hy = fields[y]
         ap, am = lp + hy, lm - hy
@@ -57,10 +51,22 @@ def _pass(
         lp, lm = lp - shift, lm - shift
         scale += shift
         gaps.append(lp - lm)
+    h_last = fields[-1]
+    return gaps, scale + log_add_exp(lp + h_last, lm - h_last)
+
+
+def _effective_fields(couplings: Sequence[float], fields: Sequence[float]) -> array:
+    """Field on each site x once the sites < x are removed one at a time.
+
+    Each step adds remove_end_site(J, h_outer).b_shift, inlined because the
+    call and its record cost four times the arithmetic.
+    """
+    eff = array("d", [fields[0]])
+    h_eff = fields[0]
+    for y, jy in enumerate(couplings):
         h_eff = fields[y + 1] + 0.5 * (log_cosh(jy + h_eff) - log_cosh(jy - h_eff))
         eff.append(h_eff)
-    h_last = fields[-1]
-    return gaps, eff, scale + log_add_exp(lp + h_last, lm - h_last)
+    return eff
 
 
 def _pair(gap: float) -> tuple[float, float]:
@@ -77,17 +83,26 @@ class ChainSweep:
     * ``forward(x)`` / ``backward(x)``: shifted log-weights (lp, lm) of the
       message into x from the left / right.
     * ``left_field[x]`` / ``right_field[x]``: field on x once every site left /
-      right of x is summed out (the end fields of ``truncate``).
+      right of x is summed out (the end fields of ``truncate``); each is one
+      more O(N) pass, run on first use.
     """
 
     def __init__(self, params: ChainParams) -> None:
+        self._couplings = params.couplings
         self._fields = params.fields
-        self._fwd, self.left_field, self.log_z = _pass(params.couplings, params.fields)
-        self._bwd, self.right_field, _ = _pass(
-            params.couplings[::-1], params.fields[::-1]
-        )
+        self._fwd, self.log_z = _pass(params.couplings, params.fields)
+        self._bwd, _ = _pass(params.couplings[::-1], params.fields[::-1])
         self._bwd.reverse()
-        self.right_field.reverse()
+
+    @cached_property
+    def left_field(self) -> array:
+        return _effective_fields(self._couplings, self._fields)
+
+    @cached_property
+    def right_field(self) -> array:
+        eff = _effective_fields(self._couplings[::-1], self._fields[::-1])
+        eff.reverse()
+        return eff
 
     def forward(self, x: int) -> tuple[float, float]:
         return _pair(self._fwd[x])
@@ -178,12 +193,23 @@ def covariance(params: ChainParams, i: int, j: int) -> float:
         raise PreconditionError("covariance needs two distinct sites")
     if i > j:
         i, j = j, i
+    log_abs, negative = log_abs_covariance(params, i, j)
+    value = math.exp(log_abs)
+    return -value if negative else value
+
+
+def log_abs_covariance(params: ChainParams, i: int, j: int) -> tuple[float, bool]:
+    """(log |cov(sigma_i, sigma_j)|, whether cov < 0) for sites i < j.
+
+    The log is -inf when a window coupling is 0. Unlike covariance, it stays
+    finite where |cov| itself underflows.
+    """
     sweep = params.sweep
     log_total = 0.0
     negative = False
     for k in range(i, j):
         if params.couplings[k] == 0.0:
-            return 0.0
+            return -math.inf, False
         if params.couplings[k] < 0.0:
             negative = not negative
         log_total += _adjacent_log_cov(
@@ -192,8 +218,7 @@ def covariance(params: ChainParams, i: int, j: int) -> float:
     for k in range(i + 1, j):
         # divide by var(sigma_k) = sech^2(delta/2)
         log_total += 2.0 * log_cosh(0.5 * sweep.delta(k))
-    value = math.exp(log_total)
-    return -value if negative else value
+    return log_total, negative
 
 
 def finite_decay_rate(params: ChainParams, i: int, j: int) -> float:

@@ -188,6 +188,23 @@ class TestAbsEnvelope:
         p = ChainParams((0.0,), (0.3, 0.4))
         assert bound_abs_envelope(p, 0, 1) == 0.0
 
+    def test_abs_covariance_underflow_keeps_the_bound(self):
+        # cov of the |h| model is about exp(-2000), below the float range,
+        # while the squared partition ratio lifts the product back to ~1
+        p = ChainParams((1000.0,), (500.0, -500.0))
+        cov = covariance(p, 0, 1)
+        assert cov > 0.99
+        assert bound_abs_envelope(p, 0, 1) == pytest.approx(cov, rel=1e-11)
+        assert compare(p, 0, 1).violations() == []
+
+    def test_overflow_gives_inf(self):
+        # the frustrated edge (2, 3) makes Z_abs / Z about exp(2000) while the
+        # pair (0, 1) is decoupled from it
+        p = ChainParams((1.0, 0.0, 1000.0), (0.0, 0.0, 1000.0, -1000.0))
+        assert bound_abs_envelope(p, 0, 1) == math.inf
+        report = compare(p, 0, 1)
+        assert report.slacks["lemma3"] == math.inf and report.violations() == []
+
 
 class TestPartitionRatio:
     def test_nonneg_fields_give_ratio_one(self):

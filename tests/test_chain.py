@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isingchain import (
+    PARAM_LIMIT,
     CapacityError,
     ChainParams,
     ParseError,
@@ -21,7 +22,7 @@ from isingchain import (
     sign_split,
     window_marginal_enum,
 )
-from isingchain import covariance, log_partition, site_mean
+from isingchain import covariance, log_partition, site_mean, truncate
 
 finite_floats = st.floats(
     min_value=-5.0, max_value=5.0, allow_nan=False, allow_infinity=False
@@ -49,6 +50,29 @@ class TestChainParams:
             ChainParams((math.inf,), (0.0, 0.0))
         with pytest.raises(PreconditionError):
             ChainParams((1.0,), (math.nan, 0.0))
+
+    def test_limit_accepted(self):
+        p = ChainParams((PARAM_LIMIT, -PARAM_LIMIT), (-PARAM_LIMIT, PARAM_LIMIT, 0.0))
+        assert math.isfinite(log_partition(p))
+        assert covariance(p, 0, 2) == pytest.approx(covariance_enum(p, 0, 2), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "value",
+        [math.nextafter(PARAM_LIMIT, math.inf), -math.nextafter(PARAM_LIMIT, math.inf),
+         1e100, 10**400],
+    )
+    def test_beyond_limit_rejected(self, value):
+        with pytest.raises(PreconditionError, match="supported range"):
+            ChainParams((value,), (0.0, 0.0))
+        with pytest.raises(PreconditionError, match="supported range"):
+            ChainParams((0.0,), (0.0, value))
+
+    def test_derived_instances_skip_the_limit(self):
+        # an effective end field reaches |h| + |J|, past the input range
+        p = ChainParams((PARAM_LIMIT,) * 2, (PARAM_LIMIT,) * 3)
+        model = truncate(p, 1, 2)
+        assert model.h_prime_i > PARAM_LIMIT
+        assert model.params.fields[0] == model.h_prime_i
 
     def test_single_site_allowed(self):
         p = ChainParams((), (0.5,))

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import isingchain
-from isingchain import BoundReport, ChainParams, covariance
+from isingchain import PARAM_LIMIT, BoundReport, ChainParams, covariance
 from isingchain.cli import main
 from isingchain.currents import McEstimate
 
@@ -535,6 +535,73 @@ class TestInputValidation:
         code, out, err = run(capsys, command[0], "--spec", spec, *command[1:])
         assert code == 2 and out == ""
         assert err.startswith("error: ")
+
+
+class TestParameterRange:
+    """|J|, |h| <= PARAM_LIMIT: an instance file past it exits 2, a spec draw 3."""
+
+    @pytest.mark.parametrize("command", ["exact", "bounds"])
+    def test_instance_at_limit(self, capsys, tmp_path, command):
+        inst = write_json(
+            tmp_path, "inst.json", {"J": [PARAM_LIMIT], "h": [-PARAM_LIMIT, PARAM_LIMIT]}
+        )
+        code, out, err = run(capsys, command, "--instance", inst, "--i", "0", "--j", "1")
+        assert code == 0 and "nan" not in out and err == ""
+
+    @pytest.mark.parametrize(
+        "value", [math.nextafter(PARAM_LIMIT, math.inf), -1e307, 10**400]
+    )
+    def test_instance_past_limit_exits_2(self, capsys, tmp_path, value):
+        inst = write_json(tmp_path, "inst.json", {"J": [1.0], "h": [0.0, value]})
+        code, out, err = run(capsys, "exact", "--instance", inst)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "supported range" in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("exact", "--i", "0", "--j", "4"),
+            ("bounds", "--i", "0", "--j", "4"),
+            ("sweep", "--count", "2"),
+            ("decay",),
+            ("mc", "--i", "0", "--j", "4", "--samples", "100"),
+        ],
+    )
+    def test_spec_draw_at_limit(self, capsys, tmp_path, command):
+        spec = write_json(
+            tmp_path,
+            "spec.json",
+            {"n_sites": 6, "J": {"type": "constant", "value": PARAM_LIMIT},
+             "h": {"type": "uniform", "low": -PARAM_LIMIT, "high": PARAM_LIMIT},
+             "seed": 3},
+        )
+        code, out, err = run(capsys, command[0], "--spec", spec, *command[1:])
+        assert code in (0, 5) and "nan" not in out
+        assert "Traceback" not in err and "Warning" not in err
+
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            {"type": "constant", "value": math.nextafter(PARAM_LIMIT, math.inf)},
+            {"type": "uniform", "low": 1e307, "high": 1.7e308},
+            {"type": "uniform", "low": -1.7e308, "high": 1.7e308},
+        ],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("exact", "--i", "0", "--j", "4"),
+            ("bounds", "--i", "0", "--j", "4"),
+            ("sweep", "--count", "1"),
+            ("decay",),
+            ("mc", "--i", "0", "--j", "4", "--samples", "100"),
+        ],
+    )
+    def test_spec_draw_past_limit_exits_3(self, capsys, tmp_path, command, dist):
+        spec = write_json(tmp_path, "spec.json", {"n_sites": 30, "J": dist, "seed": 3})
+        code, out, err = run(capsys, command[0], "--spec", spec, *command[1:])
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestModuleEntryPoint:

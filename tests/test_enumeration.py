@@ -1,0 +1,204 @@
+"""Precision gate for the cached enumeration oracle (``params.enumeration``).
+
+The reference functions below are the oracle it replaced: every
+covariance_enum call reran the whole 2^N enumeration, with a full spin matrix
+per block, and enum_summary accumulated log Z and the means the same way. The
+cached pass must agree with them to 1e-12 absolute on every mean and every
+pair, and to 1e-14 relative on log Z, also on instances whose running shift
+rises between blocks.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from isingchain import (
+    ChainParams,
+    covariance_enum,
+    enum_summary,
+    expectation_enum,
+    window_marginal_enum,
+)
+
+from conftest import random_params
+
+_BLOCK_BITS = 16
+
+
+def _ref_energy_blocks(params):
+    n = params.n_sites
+    j_arr = np.asarray(params.couplings, dtype=np.float64)
+    h_arr = np.asarray(params.fields, dtype=np.float64)
+    total = 1 << n
+    block = 1 << min(_BLOCK_BITS, n)
+    bit_idx = np.arange(n, dtype=np.uint32)
+    for start in range(0, total, block):
+        idx = np.arange(start, min(start + block, total), dtype=np.uint32)
+        spins = 1.0 - 2.0 * ((idx[:, None] >> bit_idx) & 1).astype(np.float64)
+        energy = -(spins[:, :-1] * spins[:, 1:]) @ j_arr - spins @ h_arr
+        yield spins, energy
+
+
+def _ref_weighted_blocks(params):
+    shift = -math.inf
+    for spins, energy in _ref_energy_blocks(params):
+        rescale = 1.0
+        top = -float(energy.min())
+        if top > shift:
+            rescale = math.exp(shift - top)
+            shift = top
+        yield spins, np.exp(-shift - energy), rescale, shift
+
+
+def ref_covariance_enum(params, i, j):
+    z = s_i = s_j = s_ij = 0.0
+    for spins, w, rescale, _ in _ref_weighted_blocks(params):
+        si = spins[:, i]
+        sj = spins[:, j]
+        z = z * rescale + float(w.sum())
+        s_i = s_i * rescale + float((w * si).sum())
+        s_j = s_j * rescale + float((w * sj).sum())
+        s_ij = s_ij * rescale + float((w * si * sj).sum())
+    return s_ij / z - (s_i / z) * (s_j / z)
+
+
+def ref_enum_summary(params):
+    z = shift = 0.0
+    sums = np.zeros(params.n_sites, dtype=np.float64)
+    for spins, w, rescale, shift in _ref_weighted_blocks(params):
+        z = z * rescale + float(w.sum())
+        sums *= rescale
+        sums += w @ spins
+    return shift + math.log(z), sums / z
+
+
+def ref_expectation_enum(params, sites):
+    cols = sorted(set(sites))
+    num = den = 0.0
+    for spins, w, rescale, _ in _ref_weighted_blocks(params):
+        den = den * rescale + float(w.sum())
+        num = num * rescale + float((w * spins[:, cols].prod(axis=1)).sum())
+    return num / den
+
+
+def ref_window_marginal_enum(params, i, j):
+    width = j - i + 1
+    out = np.zeros(1 << width, dtype=np.float64)
+    weights_idx = 1 << np.arange(width, dtype=np.int64)
+    for spins, w, rescale, _ in _ref_weighted_blocks(params):
+        bits = (spins[:, i : j + 1] < 0).astype(np.int64)
+        out *= rescale
+        out += np.bincount(bits @ weights_idx, weights=w, minlength=1 << width)
+    return out / out.sum()
+
+
+def ref_all_covariances(params):
+    """ref_covariance_enum for every pair i < j, in one walk over the blocks.
+
+    Each pair's sums see the operations of ref_covariance_enum in the same
+    order, so the values are equal to it bit for bit (checked below); sharing
+    the walk only keeps the gate fast at 20 sites.
+    """
+    n = params.n_sites
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    z = 0.0
+    s = [0.0] * n
+    s_pair = dict.fromkeys(pairs, 0.0)
+    for spins, w, rescale, _ in _ref_weighted_blocks(params):
+        z = z * rescale + float(w.sum())
+        columns = np.ascontiguousarray(spins.T)
+        w_spin = [w * columns[x] for x in range(n)]
+        for x in range(n):
+            s[x] = s[x] * rescale + float(w_spin[x].sum())
+        for i, j in pairs:
+            s_pair[i, j] = s_pair[i, j] * rescale + float((w_spin[i] * columns[j]).sum())
+    return {(i, j): s_pair[i, j] / z - (s[i] / z) * (s[j] / z) for i, j in pairs}
+
+
+def _instances():
+    rng = np.random.default_rng(4242)
+    out = [random_params(rng, n) for n in (1, 2, 5, 13, 16, 17, 20)]
+    out += [
+        random_params(rng, n, -1e3, 1e3, -1e3, 1e3) for n in (2, 5, 13, 16, 17, 20)
+    ]
+    # shifts of a few units between blocks: the earlier blocks' sums still
+    # carry weight when they are rescaled
+    out += [random_params(rng, n, -0.5, 0.5, -0.3, 0.3) for n in (17, 20)]
+    out += [
+        ChainParams((700.0,) * 16, (-0.3,) * 17),
+        ChainParams((700.0, -700.0) * 8, (0.2, -0.4) * 8 + (0.1,)),
+    ]
+    return out
+
+
+INSTANCES = _instances()
+
+
+@pytest.mark.parametrize("params", INSTANCES, ids=lambda p: f"n{p.n_sites}")
+def test_matches_per_pair_oracle(params):
+    log_z, means, _ = enum_summary(params)
+    ref_log_z, ref_means = ref_enum_summary(params)
+    assert log_z == pytest.approx(ref_log_z, rel=1e-14, abs=0.0)
+    assert np.max(np.abs(means - ref_means)) <= 1e-12
+    for (i, j), ref in ref_all_covariances(params).items():
+        assert abs(covariance_enum(params, i, j) - ref) <= 1e-12, (i, j)
+        assert covariance_enum(params, j, i) == covariance_enum(params, i, j)
+
+
+@pytest.mark.parametrize("n", [5, 17])
+def test_all_pairs_reference_is_the_per_pair_oracle(n):
+    params = random_params(np.random.default_rng(n), n)
+    table = ref_all_covariances(params)
+    for i, j in [(0, n - 1), (1, 3), (n - 2, n - 1)]:
+        assert table[i, j] == ref_covariance_enum(params, i, j)
+
+
+def test_pair_value_independent_of_earlier_queries():
+    params = random_params(np.random.default_rng(99), 18)
+    pairs = [(i, j) for i in range(18) for j in range(i + 1, 18)]
+    forward = {pair: covariance_enum(params, *pair) for pair in pairs}
+    fresh = ChainParams(params.couplings, params.fields)
+    backward = {pair: covariance_enum(fresh, *pair) for pair in reversed(pairs)}
+    assert forward == backward
+    summary = enum_summary(ChainParams(params.couplings, params.fields), 4, 11)
+    assert summary[2] == forward[4, 11]
+
+
+def test_enumeration_built_once_and_read_only():
+    params = random_params(np.random.default_rng(5), 9)
+    oracle = params.enumeration
+    covariance_enum(params, 0, 8)
+    enum_summary(params, 2, 3)
+    assert params.enumeration is oracle
+    assert oracle.cov.shape == (9, 9)
+    assert np.array_equal(oracle.cov, oracle.cov.T)
+    with pytest.raises(ValueError):
+        oracle.means[0] = 0.0
+    with pytest.raises(ValueError):
+        oracle.cov[0, 1] = 0.0
+
+
+# Windows and site sets below, across and above the 16 low sites of a block.
+WINDOWS = [(0, 0), (0, 3), (13, 17), (15, 16), (16, 17), (17, 17), (0, 17)]
+SITE_SETS = [(), (0,), (17,), (2, 16), (0, 15, 16, 17), (3, 8, 17)]
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        random_params(np.random.default_rng(18), 18),
+        random_params(np.random.default_rng(19), 18, -0.5, 0.5, -0.3, 0.3),
+        ChainParams((700.0, -700.0) * 8 + (700.0,), (0.2, -0.4) * 9),
+    ],
+    ids=["signed", "weak", "strong"],
+)
+def test_block_walkers_match_reference(params):
+    for i, j in WINDOWS:
+        got = window_marginal_enum(params, i, j)
+        ref = ref_window_marginal_enum(params, i, j)
+        assert np.max(np.abs(got - ref)) <= 1e-12, (i, j)
+    for sites in SITE_SETS:
+        assert expectation_enum(params, sites) == pytest.approx(
+            ref_expectation_enum(params, sites), rel=1e-12, abs=1e-12
+        ), sites

@@ -43,6 +43,29 @@ PARAM_LIMIT = 1e3
 _BLOCK_BITS = 16
 
 
+def _overflow_error(exc: OverflowError) -> PreconditionError:
+    return PreconditionError(f"coupling or field outside the supported range: {exc}")
+
+
+def _range_error(v: float) -> PreconditionError:
+    if not math.isfinite(v):
+        return PreconditionError("couplings and fields must be finite")
+    return PreconditionError(
+        f"coupling or field {v!r} outside the supported range "
+        f"|J|, |h| <= {PARAM_LIMIT:g}"
+    )
+
+
+def _check_lengths(couplings: tuple[float, ...], fields: tuple[float, ...]) -> None:
+    if len(fields) < 1:
+        raise PreconditionError("a chain needs at least one site")
+    if len(couplings) != len(fields) - 1:
+        raise PreconditionError(
+            f"{len(fields)} sites need {len(fields) - 1} couplings, "
+            f"got {len(couplings)}"
+        )
+
+
 @dataclass(frozen=True)
 class ChainParams:
     """Couplings J[0..N-1] and fields h[0..N] for one chain instance."""
@@ -55,24 +78,11 @@ class ChainParams:
             object.__setattr__(self, "couplings", tuple(map(float, self.couplings)))
             object.__setattr__(self, "fields", tuple(map(float, self.fields)))
         except OverflowError as exc:
-            raise PreconditionError(
-                f"coupling or field outside the supported range: {exc}"
-            ) from None
-        if len(self.fields) < 1:
-            raise PreconditionError("a chain needs at least one site")
-        if len(self.couplings) != len(self.fields) - 1:
-            raise PreconditionError(
-                f"{len(self.fields)} sites need {len(self.fields) - 1} couplings, "
-                f"got {len(self.couplings)}"
-            )
+            raise _overflow_error(exc) from None
+        _check_lengths(self.couplings, self.fields)
         for v in self.couplings + self.fields:
             if not abs(v) <= PARAM_LIMIT:
-                if not math.isfinite(v):
-                    raise PreconditionError("couplings and fields must be finite")
-                raise PreconditionError(
-                    f"coupling or field {v!r} outside the supported range "
-                    f"|J|, |h| <= {PARAM_LIMIT:g}"
-                )
+                raise _range_error(v)
 
     @property
     def n_sites(self) -> int:
@@ -102,9 +112,10 @@ class ChainParams:
     def _derived(
         cls, couplings: tuple[float, ...], fields: tuple[float, ...]
     ) -> "ChainParams":
-        """An instance computed from a validated one, built without validation.
+        """An instance built without a second validation pass.
 
-        The entries must be finite floats; they may leave the input range (an
+        The entries must be finite floats, already checked or computed from a
+        validated instance; computed ones may leave the input range (an
         effective end field can reach |h| + |J|).
         """
         out = object.__new__(cls)
@@ -113,14 +124,25 @@ class ChainParams:
         return out
 
     @cached_property
+    def _has_sign_bit(self) -> bool:
+        values = self.couplings + self.fields
+        return bool(np.signbit(np.fromiter(values, float, len(values))).any())
+
+    @cached_property
     def _absolute(self) -> "ChainParams":
         return ChainParams._derived(
             tuple(map(abs, self.couplings)), tuple(map(abs, self.fields))
         )
 
     def absolute(self) -> "ChainParams":
-        """The instance with |J|, |h| entrywise; built once per instance."""
-        return self._absolute
+        """The instance with |J|, |h| entrywise; built once per instance.
+
+        An instance with no sign bit set (no negative entry, no -0.0) is its
+        own absolute instance, and its cached sweep serves both.
+        """
+        # Caching `self` in `_absolute` would make a reference cycle that
+        # keeps large instances alive until the cyclic collector runs.
+        return self._absolute if self._has_sign_bit else self
 
     def reflected(self) -> "ChainParams":
         """The instance read right-to-left (site x -> N - x)."""
@@ -143,15 +165,39 @@ class ChainParams:
             raise ParseError(f"invalid JSON: {exc}") from exc
         if not isinstance(data, dict) or set(data) != {"J", "h"}:
             raise ParseError('instance JSON must be an object with keys "J" and "h"')
+        # One pass over the values runs every check of the constructor. Type
+        # errors come first; the errors found on the way are then raised in
+        # the constructor's order: float overflow, lengths, supported range.
+        columns = []
+        overflow = outside = None
         for key in ("J", "h"):
-            if not isinstance(data[key], list) or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in data[key]
-            ):
+            if not isinstance(data[key], list):
                 raise ParseError(f'"{key}" must be a list of numbers')
+            column = []
+            for v in data[key]:
+                kind = type(v)
+                if kind is int:
+                    try:
+                        v = float(v)
+                    except OverflowError as exc:
+                        overflow = overflow or exc
+                        continue
+                elif kind is not float:
+                    raise ParseError(f'"{key}" must be a list of numbers')
+                if outside is None and not abs(v) <= PARAM_LIMIT:
+                    outside = v
+                column.append(v)
+            columns.append(tuple(column))
         try:
-            return cls(tuple(data["J"]), tuple(data["h"]))
+            if overflow is not None:
+                raise _overflow_error(overflow)
+            couplings, fields = columns
+            _check_lengths(couplings, fields)
+            if outside is not None:
+                raise _range_error(outside)
         except PreconditionError as exc:
             raise ParseError(str(exc)) from exc
+        return cls._derived(couplings, fields)
 
 
 @dataclass(frozen=True)

@@ -7,17 +7,22 @@ current is the set of vertices with odd total degree, the ghost included.
 Signed parameters keep the same measure; estimators weight each sample by
 (-1) to the number of arrivals on negative-parameter edges.
 
-Monte-Carlo estimators draw per-edge streams split off one root seed and
-accumulate in fixed-size chunks, so every estimate is reproducible bit for
-bit from (parameters, seed, sample count). Exact counterparts (parity-vector
-enumeration, truncated-support signed sums) serve as oracles for them.
+The public sampler draws Poisson counts, one PCG64 stream per edge split off
+a root seed. The Monte-Carlo estimators read a current only through each
+edge's class: absent, odd, or even and positive (the representatives 0, 1
+and 2 realize every class, see `endpoint_event_counterexamples`). They draw
+that class from one uniform per edge, all from one PCG64 stream per call,
+filled sample by sample, so every estimate is reproducible bit for bit from
+(parameters, seed, sample count) and does not depend on the chunk size.
+Exact counterparts (parity-vector enumeration, truncated-support signed
+sums) serve as oracles for them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,6 +33,8 @@ from .transfer import covariance
 # Exact parity enumeration walks 2^n_sites ghost parity vectors.
 PARITY_ENUM_CAP = 16
 
+# Samples per chunk. The estimators also cap a chunk at _CHUNK * 32 edge
+# draws (a 16 MiB buffer of uniforms), so long chains get shorter chunks.
 _CHUNK = 1 << 16
 
 EVEN, ODD, NEITHER = "even", "odd", "neither"
@@ -136,36 +143,64 @@ def _edge_rates(params: ChainParams) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _current_chunks(
-    params: ChainParams, seed: int, samples: int, copies: int = 1
-) -> Iterator[list[tuple[np.ndarray, np.ndarray]]]:
-    """Yield chunks of sampled currents, one (lattice, ghost) pair per copy.
+    params: ChainParams, seed: int, samples: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield chunks of sampled currents as (lattice, ghost) arrival matrices.
 
-    One generator per (copy, edge) is split off the root seed, and each chunk
-    draws a column per edge, so the stream is a pure function of the seed.
+    One generator per edge is split off the root seed, and each chunk draws a
+    column per edge, so the stream is a pure function of the seed.
     """
     if samples < 1:
         raise PreconditionError("need at least one sample")
     lat_rates, gho_rates = _edge_rates(params)
-    n_streams = (params.n_edges + params.n_sites) * copies
-    seqs = np.random.SeedSequence(seed).spawn(n_streams)
+    seqs = np.random.SeedSequence(seed).spawn(params.n_edges + params.n_sites)
     gens = [np.random.Generator(np.random.PCG64(s)) for s in seqs]
+    lat_gens = gens[: params.n_edges]
+    gho_gens = gens[params.n_edges :]
     done = 0
     while done < samples:
         k = min(_CHUNK, samples - done)
-        out = []
-        base = 0
-        for _ in range(copies):
-            lat = np.empty((k, params.n_edges), dtype=np.int64)
-            for e in range(params.n_edges):
-                lat[:, e] = gens[base + e].poisson(lat_rates[e], size=k)
-            base += params.n_edges
-            gho = np.empty((k, params.n_sites), dtype=np.int64)
-            for x in range(params.n_sites):
-                gho[:, x] = gens[base + x].poisson(gho_rates[x], size=k)
-            base += params.n_sites
-            out.append((lat, gho))
+        lat = np.empty((k, params.n_edges), dtype=np.int64)
+        for e, gen in enumerate(lat_gens):
+            lat[:, e] = gen.poisson(lat_rates[e], size=k)
+        gho = np.empty((k, params.n_sites), dtype=np.int64)
+        for x, gen in enumerate(gho_gens):
+            gho[:, x] = gen.poisson(gho_rates[x], size=k)
         done += k
-        yield out
+        yield lat, gho
+
+
+def _class_chunks(
+    params: ChainParams, seed: int, samples: int, copies: int
+) -> Iterator[np.ndarray]:
+    """Yield chunks of independent edge classes, shape (width, copies, k).
+
+    width = n_edges + n_sites, lattice edges first. Each entry is 0 (no
+    arrival), 1 (odd count) or 2 (even positive count), drawn from one
+    uniform u as (u >= P(0)) + (u >= P(0) + P(odd)). The uniforms come from
+    one generator, filled in C order as a (k, copies, width) block into one
+    buffer, so sample s always reads the same uniforms whatever the chunk
+    size. The classes are handed out edge axis first, so the estimators'
+    per-site sums and tests run over long contiguous rows.
+    """
+    if samples < 1:
+        raise PreconditionError("need at least one sample")
+    lat_rates, gho_rates = _edge_rates(params)
+    laws = [poisson_parity(r) for r in np.concatenate([lat_rates, gho_rates])]
+    p_zero = np.array([law[0] for law in laws])
+    p_zero_or_odd = p_zero + np.array([law[2] for law in laws])
+    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rows = max(1, min(_CHUNK, _CHUNK * 32 // (copies * len(laws)), samples))
+    uniforms = np.empty((rows, copies, len(laws)))
+    classes = np.empty(uniforms.shape, dtype=np.int8)
+    done = 0
+    while done < samples:
+        k = min(rows, samples - done)
+        u = gen.random(out=uniforms[:k])
+        np.greater_equal(u, p_zero, out=classes[:k])
+        classes[:k] += u >= p_zero_or_odd
+        done += k
+        yield np.ascontiguousarray(classes[:k].transpose(2, 1, 0))
 
 
 def sample_current_batch(
@@ -174,7 +209,7 @@ def sample_current_batch(
     """Sample `count` currents; returns (lattice, ghost) arrival matrices."""
     lats = []
     ghos = []
-    for (lat, gho), in _current_chunks(params, seed, count, copies=1):
+    for lat, gho in _current_chunks(params, seed, count):
         lats.append(lat)
         ghos.append(gho)
     return np.concatenate(lats), np.concatenate(ghos)
@@ -248,10 +283,19 @@ def split_pattern(ghost_arrivals: Sequence[int]) -> ParityPattern | None:
 
 
 def _boundary_parity(lat: np.ndarray, gho: np.ndarray) -> np.ndarray:
-    """Per-site degree parity for stacked currents (edge axis last)."""
-    pad = [(0, 0)] * (lat.ndim - 1) + [(1, 1)]
-    lat_pad = np.pad(lat, pad)
-    return (lat_pad[..., :-1] + lat_pad[..., 1:] + gho) & 1
+    """Per-site degree parity for stacked currents (edge axis first)."""
+    degree = gho.copy()
+    degree[:-1] += lat
+    degree[1:] += lat
+    degree &= 1
+    return degree
+
+
+def _boundary_is(parity: np.ndarray, sites: Sequence[int]) -> np.ndarray:
+    """True where the boundary given by `parity` (site axis first) is `sites`."""
+    off = parity.copy()
+    off[list(sites)] ^= 1
+    return ~off.any(axis=0)
 
 
 def _ghost_disconnected(
@@ -285,41 +329,85 @@ def _ghost_disconnected(
     return (top - bot) == 0
 
 
-def _endpoint_event(
-    lat1: np.ndarray,
-    gho1: np.ndarray,
-    lat2: np.ndarray,
-    gho2: np.ndarray,
-    i: int,
-    j: int,
-) -> np.ndarray:
-    """Event of the paired-current covariance representation at pair (i, j).
+def _negative_mask(params: ChainParams) -> np.ndarray:
+    """True on edges with a negative parameter, lattice edges first."""
+    return np.asarray(params.couplings + params.fields, dtype=np.float64) < 0.0
 
-    True where current 1 has empty boundary, current 2 has boundary {i, j},
-    and i cannot reach the ghost in the summed current. Inputs broadcast.
+
+def _signs(currents: np.ndarray, negative: np.ndarray) -> np.ndarray:
+    """(-1) to the arrivals on negative edges (edge axis first)."""
+    return 1.0 - 2.0 * (currents[negative].sum(axis=0) & 1)
+
+
+def _moment_terms(
+    classes: np.ndarray, n_edges: int, sites: Sequence[int], negative: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample terms (y, x) of `mc_moment` from edge classes (edge axis first).
+
+    y is the signed indicator that the boundary equals `sites`, x the signed
+    indicator that it is empty.
     """
-    n_sites = gho1.shape[-1]
-    p1 = _boundary_parity(lat1, gho1)
-    p2 = _boundary_parity(lat2, gho2)
-    target = np.zeros(n_sites, dtype=np.int64)
-    target[i] = 1
-    target[j] = 1
-    empty1 = (p1 == 0).all(axis=-1)
-    pair2 = (p2 == target).all(axis=-1)
-    disc = _ghost_disconnected((lat1 + lat2) > 0, (gho1 + gho2) > 0, i)
-    return empty1 & pair2 & disc
+    parity = _boundary_parity(classes[:n_edges], classes[n_edges:])
+    sign = _signs(classes, negative)
+    return sign * _boundary_is(parity, sites), sign * ~parity.any(axis=0)
 
 
-def _sign_masks(params: ChainParams) -> tuple[np.ndarray, np.ndarray]:
-    return (
-        np.asarray(params.couplings, dtype=np.float64) < 0.0,
-        np.asarray(params.fields, dtype=np.float64) < 0.0,
+def _paired_terms(
+    classes: np.ndarray, n_edges: int, i: int, j: int, negative: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample terms (w, d) of `mc_switching_covariance` from edge classes.
+
+    `classes` has shape (n_edges + n_sites, 2, ...): the two currents of a
+    pair, edge axis first. The paired-current event at (i, j) holds where
+    current 1 has empty boundary, current 2 has boundary {i, j}, and i
+    cannot reach the ghost in the summed current; w is that event times both
+    signs. d is the mean of the two currents' signed empty-boundary
+    indicators.
+    """
+    parity = _boundary_parity(classes[:n_edges], classes[n_edges:])
+    sign = _signs(classes, negative)
+    empty = ~parity.any(axis=0)
+    event = empty[0] & _boundary_is(parity[:, 1], (i, j))
+    # The connectivity test runs only where both boundaries already match.
+    hits = np.nonzero(event)
+    open_edges = classes[(slice(None), slice(None)) + hits].any(axis=1)
+    event[hits] = _ghost_disconnected(
+        open_edges[:n_edges].T, open_edges[n_edges:].T, i
     )
+    return sign.prod(axis=0) * event, 0.5 * (sign * empty).sum(axis=0)
 
 
-def _signs(lat: np.ndarray, gho: np.ndarray, jneg: np.ndarray, hneg: np.ndarray) -> np.ndarray:
-    neg = lat[..., jneg].sum(axis=-1) + gho[..., hneg].sum(axis=-1)
-    return 1.0 - 2.0 * (neg & 1)
+def _sample_stats(
+    terms: Iterable[tuple[np.ndarray, np.ndarray]],
+) -> tuple[int, float, float, float, float, float]:
+    """(n, a_bar, b_bar, var_a, var_b, cov_ab) of numerator and denominator
+    terms summed chunk by chunk.
+
+    Raises InconclusiveEstimateError when the denominator mean b_bar is not
+    separated from zero by 4 standard errors.
+    """
+    n = 0
+    s_a = s_b = s_aa = s_bb = s_ab = 0.0
+    for a, b in terms:
+        n += a.shape[0]
+        s_a += float(a.sum())
+        s_b += float(b.sum())
+        s_aa += float((a * a).sum())
+        s_bb += float((b * b).sum())
+        s_ab += float((a * b).sum())
+    a_bar = s_a / n
+    b_bar = s_b / n
+    if n > 1:
+        var_a = max(s_aa - n * a_bar * a_bar, 0.0) / (n - 1)
+        var_b = max(s_bb - n * b_bar * b_bar, 0.0) / (n - 1)
+        cov_ab = (s_ab - n * a_bar * b_bar) / (n - 1)
+    else:
+        var_a = var_b = cov_ab = 0.0
+    if abs(b_bar) <= 4.0 * math.sqrt(var_b / n):
+        raise InconclusiveEstimateError(
+            "denominator not separated from zero by 4 standard errors"
+        )
+    return n, a_bar, b_bar, var_a, var_b, cov_ab
 
 
 def mc_moment(
@@ -333,40 +421,11 @@ def mc_moment(
     the denominator is not separated from zero by 4 standard errors.
     """
     cols = sorted({_check_site(params, x) for x in sites})
-    target = np.zeros(params.n_sites, dtype=np.int64)
-    target[cols] = 1
-    jneg, hneg = _sign_masks(params)
-    n = 0
-    s_y = s_x = s_yy = s_xx = s_xy = 0.0
-    for ((lat, gho),) in _current_chunks(params, seed, samples, copies=1):
-        parity = _boundary_parity(lat, gho)
-        sign = _signs(lat, gho, jneg, hneg)
-        y = sign * (parity == target).all(axis=1)
-        x = sign * (parity == 0).all(axis=1)
-        n += lat.shape[0]
-        s_y += float(y.sum())
-        s_x += float(x.sum())
-        s_yy += float((y * y).sum())
-        s_xx += float((x * x).sum())
-        s_xy += float((y * x).sum())
-    return _ratio_estimate(n, s_y, s_x, s_yy, s_xx, s_xy)
-
-
-def _ratio_estimate(
-    n: int, s_y: float, s_x: float, s_yy: float, s_xx: float, s_xy: float
-) -> McEstimate:
-    y_bar = s_y / n
-    x_bar = s_x / n
-    if n > 1:
-        var_y = max(s_yy - n * y_bar * y_bar, 0.0) / (n - 1)
-        var_x = max(s_xx - n * x_bar * x_bar, 0.0) / (n - 1)
-        cov_yx = (s_xy - n * y_bar * x_bar) / (n - 1)
-    else:
-        var_y = var_x = cov_yx = 0.0
-    if abs(x_bar) <= 4.0 * math.sqrt(var_x / n):
-        raise InconclusiveEstimateError(
-            "denominator not separated from zero by 4 standard errors"
-        )
+    negative = _negative_mask(params)
+    n, y_bar, x_bar, var_y, var_x, cov_yx = _sample_stats(
+        _moment_terms(chunk[:, 0], params.n_edges, cols, negative)
+        for chunk in _class_chunks(params, seed, samples, copies=1)
+    )
     ratio = y_bar / x_bar
     var_ratio = (var_y - 2.0 * ratio * cov_yx + ratio * ratio * var_x) / (
         n * x_bar * x_bar
@@ -390,35 +449,11 @@ def mc_switching_covariance(
         raise PreconditionError("covariance needs two distinct sites")
     if i > j:
         i, j = j, i
-    jneg, hneg = _sign_masks(params)
-    n = 0
-    s_w = s_d = s_ww = s_dd = s_wd = 0.0
-    for (lat1, gho1), (lat2, gho2) in _current_chunks(params, seed, samples, copies=2):
-        p1 = _boundary_parity(lat1, gho1)
-        p2 = _boundary_parity(lat2, gho2)
-        sign1 = _signs(lat1, gho1, jneg, hneg)
-        sign2 = _signs(lat2, gho2, jneg, hneg)
-        event = _endpoint_event(lat1, gho1, lat2, gho2, i, j)
-        w = sign1 * sign2 * event
-        d = 0.5 * (sign1 * (p1 == 0).all(axis=1) + sign2 * (p2 == 0).all(axis=1))
-        n += lat1.shape[0]
-        s_w += float(w.sum())
-        s_d += float(d.sum())
-        s_ww += float((w * w).sum())
-        s_dd += float((d * d).sum())
-        s_wd += float((w * d).sum())
-    w_bar = s_w / n
-    d_bar = s_d / n
-    if n > 1:
-        var_w = max(s_ww - n * w_bar * w_bar, 0.0) / (n - 1)
-        var_d = max(s_dd - n * d_bar * d_bar, 0.0) / (n - 1)
-        cov_wd = (s_wd - n * w_bar * d_bar) / (n - 1)
-    else:
-        var_w = var_d = cov_wd = 0.0
-    if abs(d_bar) <= 4.0 * math.sqrt(var_d / n):
-        raise InconclusiveEstimateError(
-            "denominator not separated from zero by 4 standard errors"
-        )
+    negative = _negative_mask(params)
+    n, w_bar, d_bar, var_w, var_d, cov_wd = _sample_stats(
+        _paired_terms(chunk, params.n_edges, i, j, negative)
+        for chunk in _class_chunks(params, seed, samples, copies=2)
+    )
     ratio = w_bar / (d_bar * d_bar)
     var_ratio = (
         var_w / d_bar**4
@@ -541,8 +576,9 @@ def endpoint_event_counterexamples(n_sites: int, max_entry: int = 3) -> int:
     vanish. Both sides depend on a current only through per-edge (parity,
     support), and entries <= max_entry realize exactly the three classes
     (even, absent), (even, present), (odd, present); representatives 0, 2, 1
-    therefore cover every current with entries <= max_entry. Pairs are fed
-    through the same vectorized event code the Monte-Carlo estimator uses.
+    therefore cover every current with entries <= max_entry. They are also
+    the class codes the Monte-Carlo estimators draw, and pairs are fed
+    through the estimator's own event code.
     Returns the number of disagreeing pairs.
     """
     if n_sites < 2:
@@ -550,38 +586,30 @@ def endpoint_event_counterexamples(n_sites: int, max_entry: int = 3) -> int:
     if max_entry < 2:
         raise PreconditionError("entries <= 1 cannot realize an even positive count")
     n_edges = n_sites - 1
-    reps = np.array([0, 2, 1], dtype=np.int64)
-    digits = _mixed_radix_rows(3, n_edges + n_sites)
-    values = reps[digits]
+    width = n_edges + n_sites
+    reps = np.array([0, 2, 1], dtype=np.int8)
+    values = reps[_mixed_radix_rows(3, width)]
     lat = values[:, :n_edges]
     gho = values[:, n_edges:]
-    parity = _boundary_parity(lat, gho)
-    target = np.zeros(n_sites, dtype=np.int64)
-    target[0] = 1
-    target[n_sites - 1] = 1
-    empty_boundary = (parity == 0).all(axis=1)
-    pair_boundary = (parity == target).all(axis=1)
+    parity = _boundary_parity(lat.T, gho.T)
+    empty_boundary = ~parity.any(axis=0)
+    pair_boundary = _boundary_is(parity, (0, n_sites - 1))
     all_even = (lat & 1 == 0).all(axis=1) & (gho == 0).all(axis=1)
     all_odd = (lat & 1 == 1).all(axis=1) & (gho == 0).all(axis=1)
     bad = int((all_even & ~empty_boundary).sum())
     bad += int((all_odd & ~pair_boundary).sum())
-    lat1, gho1 = lat[empty_boundary], gho[empty_boundary]
-    rhs1 = all_even[empty_boundary]
-    lat2, gho2 = lat[pair_boundary], gho[pair_boundary]
-    rhs2 = all_odd[pair_boundary]
-    block = max(1, (1 << 22) // max(1, lat2.shape[0] * n_edges))
-    for start in range(0, lat1.shape[0], block):
+    first, rhs1 = values[empty_boundary].T, all_even[empty_boundary]
+    second, rhs2 = values[pair_boundary].T, all_odd[pair_boundary]
+    no_signs = np.zeros(width, dtype=bool)
+    block = max(1, (1 << 20) // max(1, second.shape[1]))
+    for start in range(0, first.shape[1], block):
         sl = slice(start, start + block)
-        event = _endpoint_event(
-            lat1[sl][:, None, :],
-            gho1[sl][:, None, :],
-            lat2[None, :, :],
-            gho2[None, :, :],
-            0,
-            n_sites - 1,
-        )
+        pairs = np.empty((width, 2, first[:, sl].shape[1], second.shape[1]), np.int8)
+        pairs[:, 0] = first[:, sl, None]
+        pairs[:, 1] = second[:, None, :]
+        event, _ = _paired_terms(pairs, n_edges, 0, n_sites - 1, no_signs)
         rhs = rhs1[sl][:, None] & rhs2[None, :]
-        bad += int((event != rhs).sum())
+        bad += int(((event != 0.0) != rhs).sum())
     return bad
 
 

@@ -1,6 +1,9 @@
 """Model types and the exact enumeration oracle."""
 
+import gc
+import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -22,7 +25,7 @@ from isingchain import (
     sign_split,
     window_marginal_enum,
 )
-from isingchain import covariance, log_partition, site_mean, truncate
+from isingchain import compare, covariance, log_partition, site_mean, truncate
 
 finite_floats = st.floats(
     min_value=-5.0, max_value=5.0, allow_nan=False, allow_infinity=False
@@ -87,6 +90,51 @@ class TestChainParams:
         assert p.absolute() == ChainParams((1.0, 2.0), (0.5, 0.25, 0.0))
         assert p.reflected() == ChainParams((2.0, -1.0), (0.0, -0.25, 0.5))
         assert p.reflected().reflected() == p
+
+    def test_absolute_of_nonnegative_instance_is_itself(self):
+        p = ChainParams((1.0, 0.0), (0.5, 0.0, 2.0))
+        assert p.absolute() is p
+        q = ChainParams((1.0, 0.0), (0.5, -0.0, 2.0))
+        assert q.absolute() is not q and q.absolute() is q.absolute()
+        assert math.copysign(1.0, q.absolute().fields[1]) == 1.0
+        for i, j in ((0, 2), (0, 1), (1, 2)):
+            assert repr(compare(p, i, j)) == repr(compare(q, i, j))
+
+    def test_absolute_makes_no_reference_cycle(self):
+        # A cycle would keep each instance and its sweeps alive until the
+        # cyclic collector runs.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for coupling in (0.5, -0.5):
+                params = ChainParams((1.0, coupling), (0.2, 0.0, 0.3))
+                compare(params, 0, 2)
+                ref = weakref.ref(params)
+                del params
+                assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize(
+        "couplings, fields",
+        [
+            ((1.0,), (0.0, 10**400)),
+            ((10**400, 2e3), (0.0,)),
+            ((2e3,), (0.0,)),
+            ((), ()),
+            ((1.0,), (math.nan, 2e3)),
+            ((1.0,), (0.5, -1e307)),
+            ((1.0, 1.0), (0.5, math.nextafter(PARAM_LIMIT, math.inf), 0.0)),
+        ],
+    )
+    def test_from_json_errors_match_constructor(self, couplings, fields):
+        with pytest.raises(PreconditionError) as direct:
+            ChainParams(couplings, fields)
+        text = json.dumps({"J": list(couplings), "h": list(fields)})
+        with pytest.raises(ParseError) as parsed:
+            ChainParams.from_json(text)
+        assert str(parsed.value) == str(direct.value)
 
     def test_predicates(self):
         assert ChainParams((0.0, 1.0), (-1.0, 0.0, 2.0)).is_ferromagnetic()

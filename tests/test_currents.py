@@ -167,6 +167,15 @@ class TestSampling:
         c = sample_current_batch(p, seed=6, count=100)
         assert not (np.array_equal(a[0], c[0]) and np.array_equal(a[1], c[1]))
 
+    def test_pinned_poisson_counts(self):
+        # Fixed-seed draws of the public sampler stay the same across releases.
+        p = ChainParams((1.0, -0.5), (0.7, 0.0, 2.2))
+        lat, gho = sample_current_batch(p, seed=5, count=4)
+        assert lat.dtype == np.int64
+        assert lat.tolist() == [[1, 0], [0, 0], [0, 1], [0, 0]]
+        assert gho.tolist() == [[1, 0, 1], [1, 0, 1], [0, 0, 3], [1, 0, 4]]
+        assert sample_current(p, seed=11) == Current((3, 1), (0, 0, 3))
+
     def test_first_row_matches_single_draw(self):
         p = ChainParams((1.0, 0.5), (0.7, 0.0, 0.2))
         lat, gho = sample_current_batch(p, seed=9, count=50)

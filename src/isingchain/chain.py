@@ -16,6 +16,7 @@ covariances come from one such pass per instance, cached on it as
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -43,29 +44,6 @@ PARAM_LIMIT = 1e3
 _BLOCK_BITS = 16
 
 
-def _overflow_error(exc: OverflowError) -> PreconditionError:
-    return PreconditionError(f"coupling or field outside the supported range: {exc}")
-
-
-def _range_error(v: float) -> PreconditionError:
-    if not math.isfinite(v):
-        return PreconditionError("couplings and fields must be finite")
-    return PreconditionError(
-        f"coupling or field {v!r} outside the supported range "
-        f"|J|, |h| <= {PARAM_LIMIT:g}"
-    )
-
-
-def _check_lengths(couplings: tuple[float, ...], fields: tuple[float, ...]) -> None:
-    if len(fields) < 1:
-        raise PreconditionError("a chain needs at least one site")
-    if len(couplings) != len(fields) - 1:
-        raise PreconditionError(
-            f"{len(fields)} sites need {len(fields) - 1} couplings, "
-            f"got {len(couplings)}"
-        )
-
-
 @dataclass(frozen=True)
 class ChainParams:
     """Couplings J[0..N-1] and fields h[0..N] for one chain instance."""
@@ -78,11 +56,24 @@ class ChainParams:
             object.__setattr__(self, "couplings", tuple(map(float, self.couplings)))
             object.__setattr__(self, "fields", tuple(map(float, self.fields)))
         except OverflowError as exc:
-            raise _overflow_error(exc) from None
-        _check_lengths(self.couplings, self.fields)
-        for v in self.couplings + self.fields:
+            raise PreconditionError(
+                f"coupling or field outside the supported range: {exc}"
+            ) from None
+        if len(self.fields) < 1:
+            raise PreconditionError("a chain needs at least one site")
+        if len(self.couplings) != len(self.fields) - 1:
+            raise PreconditionError(
+                f"{len(self.fields)} sites need {len(self.fields) - 1} couplings, "
+                f"got {len(self.couplings)}"
+            )
+        for v in itertools.chain(self.couplings, self.fields):
             if not abs(v) <= PARAM_LIMIT:
-                raise _range_error(v)
+                if not math.isfinite(v):
+                    raise PreconditionError("couplings and fields must be finite")
+                raise PreconditionError(
+                    f"coupling or field {v!r} outside the supported range "
+                    f"|J|, |h| <= {PARAM_LIMIT:g}"
+                )
 
     @property
     def n_sites(self) -> int:
@@ -165,39 +156,14 @@ class ChainParams:
             raise ParseError(f"invalid JSON: {exc}") from exc
         if not isinstance(data, dict) or set(data) != {"J", "h"}:
             raise ParseError('instance JSON must be an object with keys "J" and "h"')
-        # One pass over the values runs every check of the constructor. Type
-        # errors come first; the errors found on the way are then raised in
-        # the constructor's order: float overflow, lengths, supported range.
-        columns = []
-        overflow = outside = None
         for key in ("J", "h"):
-            if not isinstance(data[key], list):
+            values = data[key]
+            if not isinstance(values, list) or not {*map(type, values)} <= {int, float}:
                 raise ParseError(f'"{key}" must be a list of numbers')
-            column = []
-            for v in data[key]:
-                kind = type(v)
-                if kind is int:
-                    try:
-                        v = float(v)
-                    except OverflowError as exc:
-                        overflow = overflow or exc
-                        continue
-                elif kind is not float:
-                    raise ParseError(f'"{key}" must be a list of numbers')
-                if outside is None and not abs(v) <= PARAM_LIMIT:
-                    outside = v
-                column.append(v)
-            columns.append(tuple(column))
         try:
-            if overflow is not None:
-                raise _overflow_error(overflow)
-            couplings, fields = columns
-            _check_lengths(couplings, fields)
-            if outside is not None:
-                raise _range_error(outside)
+            return cls(data["J"], data["h"])
         except PreconditionError as exc:
             raise ParseError(str(exc)) from exc
-        return cls._derived(couplings, fields)
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,10 @@ Subcommands:
   decay    per-distance decay rates against the bound-implied rates
 
 Exit codes are a contract: 0 success, 2 parse error, 3 precondition
-violation, 4 bound violation, 5 Monte-Carlo inconsistency. CSV goes to
-stdout with a fixed column order, floats at 17 significant digits and LF
-line endings, so a fixed seed reruns byte for byte. When no seed is given
-one is drawn and echoed on stderr.
+violation or a request too large for memory, 4 bound violation, 5
+Monte-Carlo inconsistency. CSV goes to stdout with a fixed column order,
+floats at 17 significant digits and LF line endings, so a fixed seed reruns
+byte for byte. When no seed is given one is drawn and echoed on stderr.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ import functools
 import json
 import math
 import sys
-from typing import Any, Sequence
+from operator import itemgetter
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -55,7 +56,7 @@ def _csv_cell(value: Any) -> str:
     return format_cell(value)
 
 
-def _emit_csv(columns: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
+def _emit_csv(columns: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
     out = sys.stdout
     out.write(",".join(columns) + "\n")
     for row in rows:
@@ -194,8 +195,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     seeds = instance_seeds(root_seed, args.count)
     pairs = _sweep_pairs(spec.n_sites, args.pairs)
     columns = ("instance", "seed") + REPORT_COLUMNS + ("violation",)
-    rows: list[Any] = []
-    json_rows: list[dict[str, Any]] = []
+    rows: list[dict[str, Any]] = []
     min_slacks: dict[str, float] = {}
     n_violations = 0
     for index, seed in enumerate(seeds):
@@ -207,8 +207,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             for key, slack in report.slacks.items():
                 if key not in min_slacks or slack < min_slacks[key]:
                     min_slacks[key] = slack
-            rows.append((index, seed, *report.csv_row(), int(violated)))
-            json_rows.append(
+            rows.append(
                 {"instance": index, "seed": seed, **report.to_dict(),
                  "violation": int(violated)}
             )
@@ -218,10 +217,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     if args.out == "json":
         _emit_json(
-            {"rows": json_rows, "min_slacks": min_slacks, "violations": n_violations}
+            {"rows": rows, "min_slacks": min_slacks, "violations": n_violations}
         )
     else:
-        _emit_csv(columns, rows)
+        _emit_csv(columns, map(itemgetter(*columns), rows))
     print(f"min slack: {summary}", file=sys.stderr)
     if n_violations:
         print(f"bound violations: {n_violations}", file=sys.stderr)
@@ -290,8 +289,7 @@ def cmd_decay(args: argparse.Namespace) -> int:
         if args.distances is not None
         else list(range(1, spec.n_sites))
     )
-    rows: list[tuple[Any, ...]] = []
-    json_rows: list[dict[str, Any]] = []
+    rows: list[dict[str, Any]] = []
     n_violations = 0
     for d in distances:
         cov = covariance(params, 0, d)
@@ -304,14 +302,14 @@ def cmd_decay(args: argparse.Namespace) -> int:
             rate = None
             flag = "no_rate"
         n_violations += flag == "violation"
-        rows.append((d, rate, bound_rate, flag))
-        json_rows.append(
+        rows.append(
             {"distance": d, "rate": rate, "bound_rate": bound_rate, "flag": flag}
         )
     if args.out == "json":
-        _emit_json({"seed": seed, "rows": json_rows})
+        _emit_json({"seed": seed, "rows": rows})
     else:
-        _emit_csv(("distance", "rate", "bound_rate", "flag"), rows)
+        columns = ("distance", "rate", "bound_rate", "flag")
+        _emit_csv(columns, map(itemgetter(*columns), rows))
     if n_violations:
         print(f"decay violations: {n_violations}", file=sys.stderr)
         return 4
@@ -411,6 +409,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: request too large for memory: {exc}", file=sys.stderr)
         return 3
     except BoundViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)

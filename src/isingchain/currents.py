@@ -20,6 +20,7 @@ sums) serve as oracles for them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -223,33 +224,19 @@ def sample_current(params: ChainParams, seed: int) -> Current:
 
 def boundary(current: Current) -> BoundarySet:
     """Vertices with odd total degree; ghost_in when the ghost degree is odd."""
-    lat = current.lattice_arrivals
-    gho = current.ghost_arrivals
-    n = len(gho)
-    vertices = []
-    for x in range(n):
-        deg = gho[x]
-        if x > 0:
-            deg += lat[x - 1]
-        if x < n - 1:
-            deg += lat[x]
-        if deg % 2 == 1:
-            vertices.append(x)
-    return BoundarySet(frozenset(vertices), ghost_in=sum(gho) % 2 == 1)
+    # Parities first: counts may exceed int64.
+    lat = np.array([v & 1 for v in current.lattice_arrivals], dtype=np.int64)
+    gho = np.array([v & 1 for v in current.ghost_arrivals], dtype=np.int64)
+    odd = np.flatnonzero(_boundary_parity(lat, gho))
+    return BoundarySet(frozenset(odd.tolist()), ghost_in=bool(gho.sum() & 1))
 
 
 def negative_arrivals(params: ChainParams, current: Current) -> int:
     """Total arrivals on edges whose parameter is negative."""
     if len(current.ghost_arrivals) != params.n_sites:
         raise PreconditionError("current and instance sizes differ")
-    total = 0
-    for jx, ax in zip(params.couplings, current.lattice_arrivals):
-        if jx < 0.0:
-            total += ax
-    for hx, ax in zip(params.fields, current.ghost_arrivals):
-        if hx < 0.0:
-            total += ax
-    return total
+    arrivals = current.lattice_arrivals + current.ghost_arrivals
+    return sum(itertools.compress(arrivals, _negative_mask(params)))
 
 
 def ghost_split(ghost_arrivals: Sequence[int], x: int) -> str:
@@ -482,8 +469,7 @@ def boundary_match_probability(params: ChainParams) -> float:
     _require_parity_enumerable(params)
     lat_rates, gho_rates = _edge_rates(params)
     n = params.n_sites
-    vec = np.arange(1 << n, dtype=np.int64)
-    bits = ((vec[:, None] >> np.arange(n)) & 1).astype(np.float64)
+    bits = _mixed_radix_rows(2, n)
     even_total = bits.sum(axis=1) % 2 == 0
     pe_h = np.array([poisson_parity(r)[1] for r in gho_rates])
     po_h = np.array([poisson_parity(r)[2] for r in gho_rates])
@@ -534,13 +520,19 @@ def conditional_bound_check(params: ChainParams) -> tuple[float, float]:
     return ratio, lower
 
 
-def _mixed_radix_rows(radix: int, width: int) -> np.ndarray:
-    total = radix**width
-    if total > 1 << 23:
+def _mixed_radix_rows(
+    radix: int | Sequence[int], width: int, budget: int = 1 << 23
+) -> np.ndarray:
+    """Every digit vector of length `width`, one per row, digit 0 varying fastest.
+
+    Digit e runs over range(radix[e]); an int radix serves every digit.
+    """
+    radices = np.broadcast_to(np.asarray(radix, dtype=np.int64), (width,))
+    total = math.prod(radices.tolist())
+    if total > budget:
         raise CapacityError(f"{total} rows exceed the exhaustive-check budget")
-    idx = np.arange(total, dtype=np.int64)
-    powers = radix ** np.arange(width, dtype=np.int64)
-    return (idx[:, None] // powers) % radix
+    strides = np.cumprod(np.concatenate(([1], radices)))[:-1]
+    return np.arange(total, dtype=np.int64)[:, None] // strides % radices
 
 
 def boundary_split_counterexamples(n_sites: int, max_entry: int = 3) -> int:
@@ -552,18 +544,15 @@ def boundary_split_counterexamples(n_sites: int, max_entry: int = 3) -> int:
     if n_sites < 2:
         raise PreconditionError("need at least one lattice edge")
     n_edges = n_sites - 1
-    digits = _mixed_radix_rows(max_entry + 1, n_edges + n_sites)
-    lat = digits[:, :n_edges]
-    gho = digits[:, n_edges:]
-    pad = np.pad(lat, ((0, 0), (1, 1)))
-    lat_boundary = (pad[:, :-1] + pad[:, 1:]) & 1
-    gho_parity = gho & 1
-    total_even = gho.sum(axis=1) % 2 == 0
-    lhs = (lat_boundary == gho_parity).all(axis=1) & total_even
-    prefix = np.cumsum(gho, axis=1)[:, :n_edges] & 1
-    suffix = (gho.sum(axis=1)[:, None] - np.cumsum(gho, axis=1)[:, :n_edges]) & 1
+    digits = _mixed_radix_rows(max_entry + 1, n_edges + n_sites).T
+    lat, gho = digits[:n_edges], digits[n_edges:]
+    # The two boundaries agree iff the summed current has none: every site's
+    # degree is even, which makes the ghost's degree, the total mass, even.
+    lhs = ~_boundary_parity(lat, gho).any(axis=0)
+    prefix = np.cumsum(gho, axis=0)[:n_edges]
+    suffix = gho.sum(axis=0) - prefix
     lat_par = lat & 1
-    rhs = ((lat_par == prefix) & (lat_par == suffix)).all(axis=1)
+    rhs = ((lat_par == prefix & 1) & (lat_par == suffix & 1)).all(axis=0)
     return int((lhs != rhs).sum())
 
 
@@ -626,18 +615,9 @@ def signed_moment_sum(
     if any(v != 0.0 for v in params.fields):
         raise PreconditionError("the truncated exact sum is implemented for zero field")
     cols = sorted({_check_site(params, x) for x in sites})
-    caps = [poisson_tail_cap(abs(j), tail_eps) for j in params.couplings]
-    widths = [c + 1 for c in caps]
-    total = math.prod(widths)
-    if total > 1 << 22:
-        raise CapacityError(f"{total} truncated currents exceed the budget")
-    idx = np.arange(total, dtype=np.int64)
-    lat = np.empty((total, params.n_edges), dtype=np.int64)
-    stride = 1
-    for e, width in enumerate(widths):
-        lat[:, e] = (idx // stride) % width
-        stride *= width
-    log_pmf = np.zeros(total, dtype=np.float64)
+    widths = [poisson_tail_cap(abs(j), tail_eps) + 1 for j in params.couplings]
+    lat = _mixed_radix_rows(widths, params.n_edges, budget=1 << 22)
+    log_pmf = np.zeros(len(lat), dtype=np.float64)
     for e, jx in enumerate(params.couplings):
         lam = abs(jx)
         k = lat[:, e]
@@ -647,11 +627,6 @@ def signed_moment_sum(
             [math.lgamma(v + 1.0) for v in range(widths[e])]
         )[k]
     prob = np.exp(log_pmf)
-    jneg = np.asarray(params.couplings) < 0.0
-    sign = 1.0 - 2.0 * (lat[:, jneg].sum(axis=1) & 1)
-    pad = np.pad(lat, ((0, 0), (1, 1)))
-    parity = (pad[:, :-1] + pad[:, 1:]) & 1
-    target = np.zeros(params.n_sites, dtype=np.int64)
-    target[cols] = 1
-    keep = (parity == target).all(axis=1)
-    return float((prob * sign * keep).sum())
+    sign = _signs(lat.T, _negative_mask(params)[: params.n_edges])
+    parity = _boundary_parity(lat.T, np.zeros((params.n_sites, len(lat)), np.int64))
+    return float((prob * sign * _boundary_is(parity, cols)).sum())

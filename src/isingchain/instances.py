@@ -150,6 +150,12 @@ class InstanceSpec:
             seed = int(obj["seed"]) if obj.get("seed") is not None else None
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"bad instance-spec field: {exc}") from exc
+        for key in ("n_sites", "seed"):
+            if obj.get(key) is not None and type(obj[key]) is not int:
+                raise ParseError(
+                    f"bad instance-spec field: {key} must be an integer, "
+                    f"got {json.dumps(obj[key])}"
+                )
         j_dist = (
             DistSpec.from_json(obj["J"]) if "J" in obj else defaults.coupling_dist
         )

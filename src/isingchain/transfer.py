@@ -129,38 +129,16 @@ def site_mean(params: ChainParams, x: int) -> float:
 
 
 def pair_expectation(params: ChainParams, i: int, j: int) -> float:
-    """<sigma_i sigma_j> for i < j."""
+    """<sigma_i sigma_j> for i < j: the covariance plus the product of means.
+
+    Accurate to rounding in absolute terms; use covariance for the connected
+    part, which keeps relative precision.
+    """
     i = _check_site(params, i, "i")
     j = _check_site(params, j, "j")
     if i >= j:
         raise PreconditionError("pair_expectation needs i < j")
-    sweep = params.sweep
-    fwd, bwd = sweep.forward(i), sweep.backward(j)
-    # 2x2 log-weight table over (sigma_i, sigma_x), propagated from x = i to j.
-    hi = params.fields[i]
-    g = [[fwd[0] + hi, -math.inf], [-math.inf, fwd[1] - hi]]
-    for x in range(i, j):
-        jx = params.couplings[x]
-        hx = params.fields[x + 1] if x + 1 < j else 0.0
-        nxt = [[0.0, 0.0], [0.0, 0.0]]
-        for s in range(2):
-            nxt[s][0] = log_add_exp(g[s][0] + jx, g[s][1] - jx) + hx
-            nxt[s][1] = log_add_exp(g[s][0] - jx, g[s][1] + jx) - hx
-        shift = max(nxt[0][0], nxt[0][1], nxt[1][0], nxt[1][1])
-        g = [[v - shift for v in row] for row in nxt]
-    hj = params.fields[j]
-    vals = [
-        [g[0][0] + hj + bwd[0], g[0][1] - hj + bwd[1]],
-        [g[1][0] + hj + bwd[0], g[1][1] - hj + bwd[1]],
-    ]
-    top = max(max(row) for row in vals)
-    num = den = 0.0
-    for s, sgn_s in ((0, 1.0), (1, -1.0)):
-        for u, sgn_u in ((0, 1.0), (1, -1.0)):
-            w = math.exp(vals[s][u] - top)
-            num += sgn_s * sgn_u * w
-            den += w
-    return num / den
+    return covariance(params, i, j) + site_mean(params, i) * site_mean(params, j)
 
 
 def _adjacent_log_cov(

@@ -536,6 +536,40 @@ class TestInputValidation:
         assert code == 2 and out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "fields",
+        [{"seed": 1.5}, {"seed": "12"}, {"n_sites": 3.7}, {"n_sites": True}],
+    )
+    def test_spec_integer_field_not_integer(self, capsys, tmp_path, fields):
+        spec = write_json(tmp_path, "spec.json", {"n_sites": 3, **fields})
+        code, out, err = run(capsys, "exact", "--spec", spec)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "must be an integer" in err
+
+    def test_null_spec_seed_draws_a_seed(self, capsys, tmp_path):
+        spec = write_json(tmp_path, "spec.json", {"n_sites": 3, "seed": None})
+        code, _, err = run(capsys, "exact", "--spec", spec)
+        assert code == 0 and err.startswith("seed: ")
+
+    @pytest.mark.parametrize(
+        "command",
+        [("exact",), ("decay", "--n-sites", "5"), ("sweep", "--count", "3")],
+    )
+    def test_request_too_large_for_memory_exits_3(
+        self, capsys, tmp_path, monkeypatch, command
+    ):
+        import isingchain.cli as cli_mod
+
+        def generate_instance(spec, seed):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(cli_mod, "generate_instance", generate_instance)
+        spec = write_json(tmp_path, "spec.json", {"n_sites": 3, "seed": 1})
+        code, out, err = run(capsys, command[0], "--spec", spec, *command[1:])
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and "Unable to allocate" in err
+        assert "Traceback" not in err
+
 
 class TestParameterRange:
     """|J|, |h| <= PARAM_LIMIT: an instance file past it exits 2, a spec draw 3."""

@@ -107,6 +107,12 @@ class TestCurrentTypes:
         b = boundary(Current((0,), (1, 0)))
         assert b.vertices == frozenset({0}) and b.ghost_in is True
 
+    def test_boundary_counts_past_int64(self):
+        # site 0: 3 + 2**70 + 1 even; site 1: 2**70 + 1 + 2**65 odd;
+        # ghost: 3 + 2**65 odd
+        b = boundary(Current((2**70 + 1,), (3, 2**65)))
+        assert b == BoundarySet(frozenset({1}), ghost_in=True)
+
     def test_handshake_enforced(self):
         with pytest.raises(PreconditionError):
             BoundarySet(frozenset({0}), ghost_in=False)

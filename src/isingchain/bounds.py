@@ -183,9 +183,6 @@ class BoundReport:
             out[f"slack_{key}"] = self.slacks.get(key)
         return out
 
-    def csv_row(self) -> list[str]:
-        return [format_cell(v) for v in self.to_dict().values()]
-
 
 def format_cell(value: float | int | None) -> str:
     """Fixed CSV cell formatting: 17 significant digits, empty for absent."""

@@ -40,6 +40,7 @@ from .chain import ENUMERATION_CAP, ChainParams, enum_summary
 from .errors import (
     BoundViolationError,
     ChainError,
+    DecayRateUndefinedError,
     InconclusiveEstimateError,
     OracleMismatchError,
     ParseError,
@@ -47,7 +48,7 @@ from .errors import (
 )
 from .instances import SEED_LIMIT, InstanceSpec, generate_instance, instance_seeds
 from .currents import mc_switching_covariance
-from .transfer import covariance, log_partition, site_mean
+from .transfer import covariance, finite_decay_rate, log_partition, site_mean
 
 
 def _csv_cell(value: Any) -> str:
@@ -171,7 +172,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     if args.out == "json":
         _emit_json(report.to_dict())
     else:
-        _emit_csv(REPORT_COLUMNS, [report.csv_row()])
+        _emit_csv(REPORT_COLUMNS, [itemgetter(*REPORT_COLUMNS)(report.to_dict())])
     violations = report.violations(DOMINANCE_TOL)
     if violations:
         print(f"bound violation: {', '.join(violations)}", file=sys.stderr)
@@ -292,15 +293,15 @@ def cmd_decay(args: argparse.Namespace) -> int:
     rows: list[dict[str, Any]] = []
     n_violations = 0
     for d in distances:
-        cov = covariance(params, 0, d)
         bound = bound_signed_field(params, 0, d, proof_route=args.proof_route)
         bound_rate = -math.log(bound) / d if bound > 0.0 else math.inf
-        if cov > 0.0:
-            rate = -math.log(cov) / d
-            flag = "ok" if rate >= bound_rate - 1e-12 else "violation"
-        else:
+        try:
+            rate = finite_decay_rate(params, 0, d)
+        except DecayRateUndefinedError:
             rate = None
             flag = "no_rate"
+        else:
+            flag = "ok" if rate >= bound_rate - 1e-12 else "violation"
         n_violations += flag == "violation"
         rows.append(
             {"distance": d, "rate": rate, "bound_rate": bound_rate, "flag": flag}

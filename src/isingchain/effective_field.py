@@ -10,7 +10,9 @@ changed parameters are the two end fields. The closed form, for s = +/-1:
     a_const = 0.5 * log( 4 cosh(j_edge + h_outer) cosh(j_edge - h_outer) )
 
 |b_shift| <= |j_edge| always, so the shifts never blow up however long the
-removed tail is.
+removed tail is. The shifts summed over a whole tail are what the message
+sweep of transfer.py carries into the window's end site, so truncate reads
+them off the instance's cached sweep instead of iterating remove_end_site.
 """
 
 from __future__ import annotations
@@ -58,17 +60,18 @@ def remove_end_site(j_edge: float, h_outer: float) -> SiteRemoval:
 def truncate(params: ChainParams, i: int, j: int) -> TruncatedModel:
     """Integrate out all sites outside [i, j], i < j.
 
-    The end fields are read from the instance's cached sweep, which removes
-    the sites one at a time with the remove_end_site arithmetic. Removals at
-    the two ends never touch the same field, so the result does not depend on
-    the order in which the ends are processed.
+    Each end field is the site's field plus half the message gap that the
+    instance's cached sweep stores from the outer side: the same quantity as
+    removing the outer sites one at a time with remove_end_site, in O(1).
+    Removals at the two ends never touch the same field, so the result does
+    not depend on the order in which the ends are processed.
     """
     i = _check_site(params, i, "i")
     j = _check_site(params, j, "j")
     if i >= j:
         raise PreconditionError("truncate needs i < j")
-    h_left = params.sweep.left_field[i]
-    h_right = params.sweep.right_field[j]
+    h_left = params.sweep.left_field(i)
+    h_right = params.sweep.right_field(j)
     window_params = ChainParams._derived(
         params.couplings[i:j],
         (h_left,) + params.fields[i + 1 : j] + (h_right,),

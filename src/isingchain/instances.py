@@ -36,7 +36,7 @@ class DistSpec:
         if self.kind not in ("constant", "uniform"):
             raise PreconditionError(f"unknown distribution kind {self.kind!r}")
         for name in ("low", "high", "value"):
-            v = float(getattr(self, name))
+            v = _number(getattr(self, name))
             if not math.isfinite(v):
                 raise PreconditionError(f"distribution {name} must be finite")
             object.__setattr__(self, name, v)
@@ -63,14 +63,19 @@ class DistSpec:
         kind = obj["type"]
         try:
             if kind == "constant":
-                return DistSpec(kind="constant", value=float(obj["value"]))
+                return DistSpec(kind="constant", value=obj["value"])
             if kind == "uniform":
-                return DistSpec(
-                    kind="uniform", low=float(obj["low"]), high=float(obj["high"])
-                )
+                return DistSpec(kind="uniform", low=obj["low"], high=obj["high"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"bad {kind} distribution: {exc}") from exc
         raise ParseError(f"unknown distribution type {kind!r}")
+
+
+def _number(value: Any) -> float:
+    """A JSON number as a float; bools, strings and null raise TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def _flip_probs(raw: Any) -> tuple[float, float]:
@@ -80,9 +85,9 @@ def _flip_probs(raw: Any) -> tuple[float, float]:
             extra = set(raw) - {"J", "h"}
             if extra:
                 raise ParseError(f"unknown sign-flip keys {sorted(extra)}")
-            pj, ph = float(raw.get("J", 0.0)), float(raw.get("h", 0.0))
+            pj, ph = _number(raw.get("J", 0.0)), _number(raw.get("h", 0.0))
         else:
-            pj = ph = float(raw)
+            pj = ph = _number(raw)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad sign_flip_prob: {exc}") from exc
     for p in (pj, ph):

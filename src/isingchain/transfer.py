@@ -5,8 +5,8 @@ side of site x has been summed out. They are propagated in log domain and
 renormalized at every site, so the recursion survives |J|, |h| up to ~1e3 and
 chains of 1e6 sites without overflow or total underflow. One forward and one
 backward pass (ChainSweep) store the message into every site; the sweep is
-built once per ChainParams and cached on it, so log Z and each site mean cost
-O(1) after it and a pair costs O(j - i).
+built once per ChainParams and cached on it, so log Z, each site mean and each
+effective end field cost O(1) after it and a pair costs O(j - i).
 
 The covariance is NOT computed as pair_expectation minus the product of site
 means: that difference cancels catastrophically once the covariance is
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from functools import cached_property
 from typing import Sequence
 
 from .chain import ChainParams, _check_site
@@ -55,20 +54,6 @@ def _pass(couplings: Sequence[float], fields: Sequence[float]) -> tuple[array, f
     return gaps, scale + log_add_exp(lp + h_last, lm - h_last)
 
 
-def _effective_fields(couplings: Sequence[float], fields: Sequence[float]) -> array:
-    """Field on each site x once the sites < x are removed one at a time.
-
-    Each step adds remove_end_site(J, h_outer).b_shift, inlined because the
-    call and its record cost four times the arithmetic.
-    """
-    eff = array("d", [fields[0]])
-    h_eff = fields[0]
-    for y, jy in enumerate(couplings):
-        h_eff = fields[y + 1] + 0.5 * (log_cosh(jy + h_eff) - log_cosh(jy - h_eff))
-        eff.append(h_eff)
-    return eff
-
-
 def _pair(gap: float) -> tuple[float, float]:
     return (0.0, -gap) if gap > 0.0 else (gap, 0.0)
 
@@ -82,27 +67,23 @@ class ChainSweep:
     * ``log_z``: log Z, accumulated by the forward pass.
     * ``forward(x)`` / ``backward(x)``: shifted log-weights (lp, lm) of the
       message into x from the left / right.
-    * ``left_field[x]`` / ``right_field[x]``: field on x once every site left /
-      right of x is summed out (the end fields of ``truncate``); each is one
-      more O(N) pass, run on first use.
+    * ``left_field(x)`` / ``right_field(x)``: field on x once every site left /
+      right of x is summed out (the end fields of ``truncate``). The message
+      from that side weighs sigma_x by exp(gap * sigma_x / 2), so the field
+      is h_x plus half the stored gap.
     """
 
     def __init__(self, params: ChainParams) -> None:
-        self._couplings = params.couplings
         self._fields = params.fields
         self._fwd, self.log_z = _pass(params.couplings, params.fields)
         self._bwd, _ = _pass(params.couplings[::-1], params.fields[::-1])
         self._bwd.reverse()
 
-    @cached_property
-    def left_field(self) -> array:
-        return _effective_fields(self._couplings, self._fields)
+    def left_field(self, x: int) -> float:
+        return self._fields[x] + 0.5 * self._fwd[x]
 
-    @cached_property
-    def right_field(self) -> array:
-        eff = _effective_fields(self._couplings[::-1], self._fields[::-1])
-        eff.reverse()
-        return eff
+    def right_field(self, x: int) -> float:
+        return self._fields[x] + 0.5 * self._bwd[x]
 
     def forward(self, x: int) -> tuple[float, float]:
         return _pair(self._fwd[x])

@@ -43,6 +43,16 @@ def random_params(
     return ChainParams(tuple(couplings.tolist()), tuple(fields.tolist()))
 
 
+def end_field_tolerance(params: ChainParams) -> float:
+    """Rounding gate for an effective end field: 4 ulp of the largest |J|, |h|.
+
+    truncate reads the end fields off the message sweep's gaps while the
+    references sum out the outer sites with remove_end_site; the two round
+    differently in the last bits, by about one ulp of the instance's scale.
+    """
+    return 4.0 * 2.0**-52 * max(map(abs, params.couplings + params.fields))
+
+
 @pytest.fixture
 def make_params():
     return random_params

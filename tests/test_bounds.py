@@ -267,7 +267,7 @@ class TestCompareAndReport:
         p = ChainParams((1.0,), (0.1, 0.2))
         r = compare(p, 0, 1)
         assert tuple(r.to_dict().keys()) == REPORT_COLUMNS
-        row = r.csv_row()
+        row = [format_cell(r.to_dict()[c]) for c in REPORT_COLUMNS]
         assert len(row) == len(REPORT_COLUMNS)
         assert row[0] == "0" and row[1] == "1"
 
@@ -276,8 +276,7 @@ class TestCompareAndReport:
         r = compare(p, 0, 1)
         d = r.to_dict()
         assert d["thm1"] is None and d["thm2"] is None and d["zero_field"] is None
-        row = r.csv_row()
-        assert row[REPORT_COLUMNS.index("thm1")] == ""
+        assert format_cell(d["thm1"]) == ""
 
     def test_violations_flagged(self):
         report = BoundReport(

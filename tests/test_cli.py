@@ -528,7 +528,14 @@ class TestInputValidation:
     @pytest.mark.parametrize(
         "fields",
         [{"seed": -4}, {"seed": 2**63}, {"sign_flip_prob": "abc"},
-         {"sign_flip_prob": {"h": "abc"}}],
+         {"sign_flip_prob": {"h": "abc"}},
+         # spec numbers must be JSON numbers: no bools, no numeric strings
+         {"J": {"type": "constant", "value": True}},
+         {"J": {"type": "constant", "value": "2"}},
+         {"h": {"type": "uniform", "low": "0", "high": False}},
+         {"sign_flip_prob": True}, {"sign_flip_prob": {"h": "1"}},
+         {"J": {"type": "uniform", "low": 1.0, "high": 0.0}},
+         {"J": {"type": "constant", "value": math.inf}}],
     )
     def test_bad_spec_field(self, capsys, tmp_path, command, fields):
         spec = write_json(tmp_path, "spec.json", {"n_sites": 3, **fields})

@@ -1,14 +1,20 @@
-"""Precision gate for ChainSweep: bit equality with the per-site recursion.
+"""Precision gate for ChainSweep against the per-site recursions it replaced.
 
 The reference functions below are the per-site solver that ChainSweep
 replaced: every log_partition, site_mean and covariance call reran a partial
-forward and backward pass, and truncate removed the outer sites one at a time
-with remove_end_site. The cached sweep must reproduce them bit for bit, also
-on the extreme-parameter instances of test_transfer.py.
+forward and backward pass, and the end fields of a window came from removing
+the outer sites one at a time with remove_end_site. The cached sweep must
+reproduce log Z, the means and the covariances bit for bit, also on the
+extreme-parameter instances of test_transfer.py. truncate reads its end
+fields off the sweep's message gaps, which round differently from repeated
+removal, so those are gated at end_field_tolerance (4 ulp of the instance's
+largest |J|, |h|) against repeated removal and against a 50-digit mpmath
+run of the same removal recursion.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -24,7 +30,7 @@ from isingchain import (
 from isingchain.numeric import log_add_exp, log_cosh
 from isingchain.transfer import _adjacent_log_cov
 
-from conftest import random_params
+from conftest import end_field_tolerance, random_params
 
 
 def _forward_sweep(params, stop):
@@ -113,6 +119,32 @@ def ref_end_fields(params, i, j):
     return h_left, h_right
 
 
+def mp_end_fields(params):
+    """(left, right) end field of every site, removal recursion at 50 digits."""
+
+    def mp_log_cosh(x):
+        return mpmath.log(mpmath.cosh(x))
+
+    def removal(couplings, fields):
+        h = mpmath.mpf(fields[0])
+        out = [h]
+        for jy, hy in zip(couplings, fields[1:]):
+            h = hy + (mp_log_cosh(jy + h) - mp_log_cosh(jy - h)) / 2
+            out.append(h)
+        return [float(v) for v in out]
+
+    with mpmath.workdps(50):
+        left = removal(params.couplings, params.fields)
+        right = removal(params.couplings[::-1], params.fields[::-1])[::-1]
+    return left, right
+
+
+def assert_end_fields_within_gate(params, model, want):
+    tol = end_field_tolerance(params)
+    assert abs(model.h_prime_i - want[0]) <= tol
+    assert abs(model.h_prime_j - want[1]) <= tol
+
+
 EXTREME = [
     ChainParams((1e3, -1e3, 0.0), (1e3, -1e3, 1e3, -1e3)),
     ChainParams((500.0, 500.0), (0.0, 0.0, 0.0)),
@@ -151,11 +183,32 @@ def test_solver_bit_identical_to_per_site_recursion(params):
 
 @pytest.mark.parametrize("params", INSTANCES)
 def test_truncate_bit_identical_to_repeated_removal(params):
+    # Gated, not bit-equal: the sweep's gaps and repeated removal round
+    # differently in the last bits.
     n = params.n_sites
     for i in range(n):
         for j in range(i + 1, n):
             model = truncate(params, i, j)
-            assert (model.h_prime_i, model.h_prime_j) == ref_end_fields(params, i, j)
+            assert_end_fields_within_gate(params, model, ref_end_fields(params, i, j))
+
+
+@pytest.mark.parametrize("params", INSTANCES)
+def test_truncate_end_fields_match_high_precision_removal(params):
+    left, right = mp_end_fields(params)
+    n = params.n_sites
+    for i in range(n):
+        for j in range(i + 1, n):
+            model = truncate(params, i, j)
+            assert_end_fields_within_gate(params, model, (left[i], right[j]))
+
+
+def test_long_chain_end_fields_match_high_precision_removal():
+    rng = np.random.default_rng(78)
+    params = random_params(rng, 2000, -1e3, 1e3, -1e3, 1e3)
+    left, right = mp_end_fields(params)
+    for x in range(params.n_sites - 1):
+        model = truncate(params, x, x + 1)
+        assert_end_fields_within_gate(params, model, (left[x], right[x + 1]))
 
 
 def test_long_chain_bit_identical():
@@ -167,7 +220,7 @@ def test_long_chain_bit_identical():
     for i, j in ((0, 2999), (1000, 1100), (2998, 2999)):
         assert covariance(params, i, j) == ref_covariance(params, i, j)
         model = truncate(params, i, j)
-        assert (model.h_prime_i, model.h_prime_j) == ref_end_fields(params, i, j)
+        assert_end_fields_within_gate(params, model, ref_end_fields(params, i, j))
 
 
 def test_sweep_built_once_per_instance():

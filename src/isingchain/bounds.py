@@ -23,8 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .chain import ChainParams, _check_site, covariance_enum, ENUMERATION_CAP, sign_split
-from .effective_field import truncate
+from .chain import ChainParams, _check_site, covariance_enum, ENUMERATION_CAP
 from .errors import OracleMismatchError, PreconditionError
 from .numeric import log_cosh
 from .transfer import covariance, log_abs_covariance, log_partition
@@ -98,8 +97,8 @@ def bound_nonneg_field(params: ChainParams, i: int, j: int) -> float:
     _require_ferromagnetic(params)
     if not params.has_nonneg_fields():
         raise PreconditionError("bound_nonneg_field needs all fields >= 0")
-    model = truncate(params, i, j)
-    s = model.h_prime_i + math.fsum(params.fields[i + 1 : j]) + model.h_prime_j
+    sweep = params.sweep
+    s = sweep.left_field(i) + math.fsum(params.fields[i + 1 : j]) + sweep.right_field(j)
     log_bound = _log_edge_product(params, i, j) - 2.0 * log_cosh(s)
     return math.exp(log_bound)
 
@@ -117,11 +116,11 @@ def bound_signed_field(
     """
     i, j = _require_window(params, i, j)
     _require_ferromagnetic(params)
-    base = params.absolute() if proof_route else params
-    model = truncate(base, i, j)
+    sweep = (params.absolute() if proof_route else params).sweep
+    h_i, h_j = sweep.left_field(i), sweep.right_field(j)
     interior = params.fields[i + 1 : j]
-    s = model.h_prime_i + math.fsum(interior) + model.h_prime_j
-    t = abs(model.h_prime_i) + math.fsum(abs(v) for v in interior) + abs(model.h_prime_j)
+    s = h_i + math.fsum(interior) + h_j
+    t = abs(h_i) + math.fsum(abs(v) for v in interior) + abs(h_j)
     log_field = math.log(4.0) - 2.0 * abs(s) - 2.0 * math.log1p(math.exp(-2.0 * t))
     return math.exp(_log_edge_product(params, i, j) + log_field)
 
@@ -152,8 +151,9 @@ def partition_ratio_lower(params: ChainParams) -> tuple[float, float]:
     """
     _require_ferromagnetic(params)
     ratio = math.exp(log_partition(params) - log_partition(params.absolute()))
-    split = sign_split(params.fields)
-    mass = min(math.fsum(split.plus), math.fsum(split.minus))
+    plus = math.fsum(h for h in params.fields if h > 0.0)
+    minus = math.fsum(-h for h in params.fields if h < 0.0)
+    mass = min(plus, minus)
     return ratio, math.exp(-2.0 * mass)
 
 

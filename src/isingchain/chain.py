@@ -178,21 +178,6 @@ class SpinConfig:
             raise PreconditionError("spins must be +1 or -1")
 
 
-@dataclass(frozen=True)
-class SignSplit:
-    """Entrywise decomposition v = plus - minus with plus, minus >= 0."""
-
-    plus: tuple[float, ...]
-    minus: tuple[float, ...]
-
-
-def sign_split(values: Sequence[float]) -> SignSplit:
-    return SignSplit(
-        tuple(max(float(v), 0.0) for v in values),
-        tuple(max(-float(v), 0.0) for v in values),
-    )
-
-
 def hamiltonian(params: ChainParams, config: SpinConfig) -> float:
     """H(sigma) for one explicit configuration."""
     s = config.spins

@@ -245,17 +245,14 @@ def cmd_mc(args: argparse.Namespace) -> int:
     result = {
         "i": min(i, j),
         "j": max(i, j),
-        "mean": estimate.mean,
-        "std_error": estimate.std_error,
-        "samples": estimate.samples,
+        **estimate.to_dict(),
         "exact": exact,
         "z_score": z_score,
     }
     if args.out == "json":
         _emit_json(result)
     else:
-        columns = ("i", "j", "mean", "std_error", "samples", "exact", "z_score")
-        _emit_csv(columns, [tuple(result[c] for c in columns)])
+        _emit_csv(tuple(result), [tuple(result.values())])
     if abs(z_score) > 4.0:
         print(f"mc inconsistency: |z| = {abs(z_score):.3g} > 4", file=sys.stderr)
         return 5

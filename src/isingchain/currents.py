@@ -20,7 +20,6 @@ sums) serve as oracles for them.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -34,58 +33,9 @@ from .transfer import covariance
 # Exact parity enumeration walks 2^n_sites ghost parity vectors.
 PARITY_ENUM_CAP = 16
 
-# Samples per chunk. The estimators also cap a chunk at _CHUNK * 32 edge
+# Samples per estimator chunk. A chunk is also capped at _CHUNK * 32 edge
 # draws (a 16 MiB buffer of uniforms), so long chains get shorter chunks.
 _CHUNK = 1 << 16
-
-EVEN, ODD, NEITHER = "even", "odd", "neither"
-
-
-@dataclass(frozen=True)
-class Current:
-    """Arrival counts: lattice_arrivals[x] on edge (x, x+1), ghost_arrivals[x] on site x."""
-
-    lattice_arrivals: tuple[int, ...]
-    ghost_arrivals: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "lattice_arrivals", tuple(int(v) for v in self.lattice_arrivals)
-        )
-        object.__setattr__(
-            self, "ghost_arrivals", tuple(int(v) for v in self.ghost_arrivals)
-        )
-        if len(self.lattice_arrivals) != len(self.ghost_arrivals) - 1:
-            raise PreconditionError(
-                "a current needs one ghost edge per site and one lattice edge less"
-            )
-        if any(v < 0 for v in self.lattice_arrivals + self.ghost_arrivals):
-            raise PreconditionError("arrival counts must be nonnegative")
-
-
-@dataclass(frozen=True)
-class BoundarySet:
-    """Odd-degree vertices of a current; ghost_in marks the ghost vertex."""
-
-    vertices: frozenset[int]
-    ghost_in: bool
-
-    def __post_init__(self) -> None:
-        if (len(self.vertices) + int(self.ghost_in)) % 2 != 0:
-            raise PreconditionError(
-                "odd-degree vertices must be even in number, ghost included"
-            )
-
-
-@dataclass(frozen=True)
-class ParityPattern:
-    """Per-edge parity labels (EVEN or ODD) induced on the lattice edges."""
-
-    edge_parities: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if any(p not in (EVEN, ODD) for p in self.edge_parities):
-            raise PreconditionError("edge parities must be 'even' or 'odd'")
 
 
 @dataclass(frozen=True)
@@ -143,34 +93,6 @@ def _edge_rates(params: ChainParams) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _current_chunks(
-    params: ChainParams, seed: int, samples: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield chunks of sampled currents as (lattice, ghost) arrival matrices.
-
-    One generator per edge is split off the root seed, and each chunk draws a
-    column per edge, so the stream is a pure function of the seed.
-    """
-    if samples < 1:
-        raise PreconditionError("need at least one sample")
-    lat_rates, gho_rates = _edge_rates(params)
-    seqs = np.random.SeedSequence(seed).spawn(params.n_edges + params.n_sites)
-    gens = [np.random.Generator(np.random.PCG64(s)) for s in seqs]
-    lat_gens = gens[: params.n_edges]
-    gho_gens = gens[params.n_edges :]
-    done = 0
-    while done < samples:
-        k = min(_CHUNK, samples - done)
-        lat = np.empty((k, params.n_edges), dtype=np.int64)
-        for e, gen in enumerate(lat_gens):
-            lat[:, e] = gen.poisson(lat_rates[e], size=k)
-        gho = np.empty((k, params.n_sites), dtype=np.int64)
-        for x, gen in enumerate(gho_gens):
-            gho[:, x] = gen.poisson(gho_rates[x], size=k)
-        done += k
-        yield lat, gho
-
-
 def _class_chunks(
     params: ChainParams, seed: int, samples: int, copies: int
 ) -> Iterator[np.ndarray]:
@@ -207,66 +129,21 @@ def _class_chunks(
 def sample_current_batch(
     params: ChainParams, seed: int, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample `count` currents; returns (lattice, ghost) arrival matrices."""
-    lats = []
-    ghos = []
-    for lat, gho in _current_chunks(params, seed, count):
-        lats.append(lat)
-        ghos.append(gho)
-    return np.concatenate(lats), np.concatenate(ghos)
+    """Sample `count` currents; returns (lattice, ghost) arrival matrices.
 
-
-def sample_current(params: ChainParams, seed: int) -> Current:
-    """Draw one current from the product Poisson measure."""
-    lat, gho = sample_current_batch(params, seed, 1)
-    return Current(tuple(lat[0].tolist()), tuple(gho[0].tolist()))
-
-
-def boundary(current: Current) -> BoundarySet:
-    """Vertices with odd total degree; ghost_in when the ghost degree is odd."""
-    # Parities first: counts may exceed int64.
-    lat = np.array([v & 1 for v in current.lattice_arrivals], dtype=np.int64)
-    gho = np.array([v & 1 for v in current.ghost_arrivals], dtype=np.int64)
-    odd = np.flatnonzero(_boundary_parity(lat, gho))
-    return BoundarySet(frozenset(odd.tolist()), ghost_in=bool(gho.sum() & 1))
-
-
-def negative_arrivals(params: ChainParams, current: Current) -> int:
-    """Total arrivals on edges whose parameter is negative."""
-    if len(current.ghost_arrivals) != params.n_sites:
-        raise PreconditionError("current and instance sizes differ")
-    arrivals = current.lattice_arrivals + current.ghost_arrivals
-    return sum(itertools.compress(arrivals, _negative_mask(params)))
-
-
-def ghost_split(ghost_arrivals: Sequence[int], x: int) -> str:
-    """Classify edge x by the parities of the ghost mass on its two sides.
-
-    Returns EVEN when both the prefix sum (sites <= x) and the suffix sum
-    (sites > x) are even, ODD when both are odd, NEITHER otherwise. NEITHER
-    happens exactly when the total ghost mass is odd, since the two sides sum
-    to the total.
+    One PCG64 generator per edge is split off the root seed and draws all of
+    that edge's counts, so the draws are a pure function of the seed and the
+    first m rows do not depend on `count`. The matrices are transposed views
+    of one edge-major buffer.
     """
-    gho = [int(v) for v in ghost_arrivals]
-    if not 0 <= x < len(gho) - 1:
-        raise PreconditionError(f"edge {x} out of range for {len(gho)} sites")
-    prefix = sum(gho[: x + 1]) % 2
-    suffix = sum(gho[x + 1 :]) % 2
-    if prefix == 0 and suffix == 0:
-        return EVEN
-    if prefix == 1 and suffix == 1:
-        return ODD
-    return NEITHER
-
-
-def split_pattern(ghost_arrivals: Sequence[int]) -> ParityPattern | None:
-    """Per-edge split labels, or None when the total ghost mass is odd."""
-    gho = [int(v) for v in ghost_arrivals]
-    if sum(gho) % 2 == 1:
-        return None
-    return ParityPattern(
-        tuple(ghost_split(gho, x) for x in range(len(gho) - 1))
-    )
+    if count < 1:
+        raise PreconditionError("need at least one sample")
+    rates = np.concatenate(_edge_rates(params))
+    seqs = np.random.SeedSequence(seed).spawn(len(rates))
+    arrivals = np.empty((len(rates), count), dtype=np.int64)
+    for e, (rate, seq) in enumerate(zip(rates, seqs)):
+        arrivals[e] = np.random.Generator(np.random.PCG64(seq)).poisson(rate, count)
+    return arrivals[: params.n_edges].T, arrivals[params.n_edges :].T
 
 
 def _boundary_parity(lat: np.ndarray, gho: np.ndarray) -> np.ndarray:

@@ -150,16 +150,13 @@ class InstanceSpec:
         if extra:
             raise ParseError(f"unknown instance-spec keys {sorted(extra)}")
         defaults = InstanceSpec()
-        try:
-            n_sites = int(obj.get("n_sites", defaults.n_sites))
-            seed = int(obj["seed"]) if obj.get("seed") is not None else None
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"bad instance-spec field: {exc}") from exc
-        for key in ("n_sites", "seed"):
-            if obj.get(key) is not None and type(obj[key]) is not int:
+        n_sites = obj.get("n_sites", defaults.n_sites)
+        seed = obj.get("seed")
+        for key, value in (("n_sites", n_sites), ("seed", seed)):
+            if type(value) is not int and not (key == "seed" and value is None):
                 raise ParseError(
                     f"bad instance-spec field: {key} must be an integer, "
-                    f"got {json.dumps(obj[key])}"
+                    f"got {json.dumps(value)}"
                 )
         j_dist = (
             DistSpec.from_json(obj["J"]) if "J" in obj else defaults.coupling_dist

@@ -22,7 +22,6 @@ from isingchain import (
     expectation_enum,
     hamiltonian,
     partition_function_enum,
-    sign_split,
     window_marginal_enum,
 )
 from isingchain import compare, covariance, log_partition, site_mean, truncate
@@ -187,16 +186,6 @@ class TestSpinConfigAndHamiltonian:
             )
             total += math.exp(-hamiltonian(params, SpinConfig(spins)))
         assert partition_function_enum(params) == pytest.approx(total, rel=1e-12)
-
-
-class TestSignSplit:
-    @given(st.lists(finite_floats, min_size=1, max_size=8))
-    def test_decomposition(self, values):
-        split = sign_split(values)
-        assert all(a >= 0.0 for a in split.plus + split.minus)
-        for v, a, b in zip(values, split.plus, split.minus):
-            assert a - b == pytest.approx(v, abs=1e-15)
-            assert a * b == 0.0
 
 
 class TestEnumerationOracle:

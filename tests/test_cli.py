@@ -545,7 +545,8 @@ class TestInputValidation:
 
     @pytest.mark.parametrize(
         "fields",
-        [{"seed": 1.5}, {"seed": "12"}, {"n_sites": 3.7}, {"n_sites": True}],
+        [{"seed": 1.5}, {"seed": "12"}, {"n_sites": 3.7}, {"n_sites": True},
+         {"n_sites": None}],
     )
     def test_spec_integer_field_not_integer(self, capsys, tmp_path, fields):
         spec = write_json(tmp_path, "spec.json", {"n_sites": 3, **fields})

@@ -8,12 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isingchain import (
-    BoundarySet,
     CapacityError,
     ChainParams,
-    Current,
     PreconditionError,
-    boundary,
     boundary_match_probability,
     boundary_split_counterexamples,
     conditional_bound_check,
@@ -21,24 +18,14 @@ from isingchain import (
     covariance,
     endpoint_event_counterexamples,
     expectation_enum,
-    ghost_split,
     log_partition,
-    negative_arrivals,
     poisson_parity,
-    sample_current,
     sample_current_batch,
     signed_moment_sum,
-    split_pattern,
 )
-from isingchain.currents import EVEN, NEITHER, ODD, poisson_tail_cap
+from isingchain.currents import _CHUNK, poisson_tail_cap
 
 rates = st.floats(0.0, 50.0, allow_nan=False)
-arrival_lists = st.integers(1, 6).flatmap(
-    lambda n: st.tuples(
-        st.tuples(*[st.integers(0, 6)] * (n - 1)),
-        st.tuples(*[st.integers(0, 6)] * n),
-    )
-)
 
 
 class TestPoissonParity:
@@ -91,79 +78,6 @@ class TestPoissonTailCap:
         assert poisson_tail_cap(3.0, 1e-6) <= poisson_tail_cap(3.0, 1e-12)
 
 
-class TestCurrentTypes:
-    def test_current_validation(self):
-        with pytest.raises(PreconditionError):
-            Current((1,), (0,))  # needs one more ghost entry than lattice
-        with pytest.raises(PreconditionError):
-            Current((), (-1,))
-
-    def test_boundary_hand_example(self):
-        b = boundary(Current((1, 2), (0, 1, 1)))
-        assert b.vertices == frozenset({0, 2})
-        assert b.ghost_in is False
-
-    def test_boundary_ghost_in(self):
-        b = boundary(Current((0,), (1, 0)))
-        assert b.vertices == frozenset({0}) and b.ghost_in is True
-
-    def test_boundary_counts_past_int64(self):
-        # site 0: 3 + 2**70 + 1 even; site 1: 2**70 + 1 + 2**65 odd;
-        # ghost: 3 + 2**65 odd
-        b = boundary(Current((2**70 + 1,), (3, 2**65)))
-        assert b == BoundarySet(frozenset({1}), ghost_in=True)
-
-    def test_handshake_enforced(self):
-        with pytest.raises(PreconditionError):
-            BoundarySet(frozenset({0}), ghost_in=False)
-
-    @given(arrival_lists)
-    def test_boundary_handshake_always_holds(self, arrivals):
-        lat, gho = arrivals
-        boundary(Current(lat, gho))  # constructor would raise on odd parity
-
-    def test_negative_arrivals(self):
-        p = ChainParams((-1.0, 2.0), (0.5, -0.25, 0.0))
-        c = Current((3, 4), (1, 2, 5))
-        assert negative_arrivals(p, c) == 3 + 2
-        with pytest.raises(PreconditionError):
-            negative_arrivals(ChainParams((1.0,), (0.0, 0.0)), c)
-
-
-class TestGhostSplit:
-    def test_pinned_cases(self):
-        assert ghost_split((1, 0, 1), 0) == ODD
-        assert ghost_split((1, 0, 1), 1) == ODD
-        assert ghost_split((0, 0), 0) == EVEN
-        assert ghost_split((1, 1), 0) == ODD
-        assert ghost_split((2, 0), 0) == EVEN
-        assert ghost_split((1, 0, 0), 0) == NEITHER
-        assert ghost_split((1, 0, 0), 1) == NEITHER
-
-    def test_edge_range_checked(self):
-        with pytest.raises(PreconditionError):
-            ghost_split((1, 0), 1)
-
-    @given(st.lists(st.integers(0, 5), min_size=2, max_size=8))
-    def test_neither_iff_odd_total(self, gho):
-        odd_total = sum(gho) % 2 == 1
-        labels = [ghost_split(gho, x) for x in range(len(gho) - 1)]
-        if odd_total:
-            assert all(label == NEITHER for label in labels)
-        else:
-            assert all(label in (EVEN, ODD) for label in labels)
-
-    @given(st.lists(st.integers(0, 5), min_size=1, max_size=8))
-    def test_split_pattern(self, gho):
-        pattern = split_pattern(gho)
-        if sum(gho) % 2 == 1:
-            assert pattern is None
-        else:
-            assert len(pattern.edge_parities) == len(gho) - 1
-            for x, label in enumerate(pattern.edge_parities):
-                assert label == ghost_split(gho, x)
-
-
 class TestSampling:
     def test_deterministic(self):
         p = ChainParams((1.0, 0.5), (0.7, 0.0, 0.2))
@@ -180,14 +94,17 @@ class TestSampling:
         assert lat.dtype == np.int64
         assert lat.tolist() == [[1, 0], [0, 0], [0, 1], [0, 0]]
         assert gho.tolist() == [[1, 0, 1], [1, 0, 1], [0, 0, 3], [1, 0, 4]]
-        assert sample_current(p, seed=11) == Current((3, 1), (0, 0, 3))
+        lat, gho = sample_current_batch(p, seed=11, count=1)
+        assert lat.tolist() == [[3, 1]] and gho.tolist() == [[0, 0, 3]]
 
-    def test_first_row_matches_single_draw(self):
-        p = ChainParams((1.0, 0.5), (0.7, 0.0, 0.2))
-        lat, gho = sample_current_batch(p, seed=9, count=50)
-        single = sample_current(p, seed=9)
-        assert tuple(lat[0].tolist()) == single.lattice_arrivals
-        assert tuple(gho[0].tolist()) == single.ghost_arrivals
+    @pytest.mark.parametrize(
+        "m, n", [(1, 4), (100, _CHUNK + 1), (_CHUNK + 1, 2 * _CHUNK + 3)]
+    )
+    def test_rows_do_not_depend_on_count(self, m, n):
+        p = ChainParams((1.0, -0.5), (0.7, 0.0, 12.0))
+        lat_m, gho_m = sample_current_batch(p, seed=3, count=m)
+        lat_n, gho_n = sample_current_batch(p, seed=3, count=n)
+        assert np.array_equal(lat_m, lat_n[:m]) and np.array_equal(gho_m, gho_n[:m])
 
     def test_zero_rate_column_is_zero(self):
         p = ChainParams((1.0, 0.5), (0.7, 0.0, 0.2))

@@ -1,4 +1,4 @@
-"""The README's CLI examples reproduce: same inputs, same stdout lines."""
+"""The README's CLI examples reproduce, and its library tour names the public API."""
 
 import re
 import shlex
@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import isingchain
 from isingchain.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -78,3 +79,11 @@ def test_matcher():
     assert not _matches(["a", "c"], ["a", "b", "c"])
     assert not _matches(["a"], ["a", "b"])
     assert not _matches(["a", "...", "d"], ["a", "b", "c"])
+
+
+def test_library_tour_lists_the_public_api():
+    text = README.read_text(encoding="utf-8")
+    table = text.split("## Library tour", 1)[1].split("\n\n", 2)[1]
+    names = set(re.findall(r"`([A-Za-z_][\w.]*)`", table))
+    # Dotted names are attributes (ChainParams.sweep), not exports.
+    assert {n for n in names if "." not in n} == set(isingchain.__all__) - {"__version__"}

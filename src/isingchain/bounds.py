@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .chain import ChainParams, _check_site, covariance_enum, ENUMERATION_CAP
+from .chain import ChainParams, _check_pair, covariance_enum, ENUMERATION_CAP
 from .errors import OracleMismatchError, PreconditionError
 from .numeric import log_cosh
 from .transfer import covariance, log_abs_covariance, log_partition
@@ -50,14 +50,6 @@ REPORT_COLUMNS = (
 _ORACLE_CHECK_TOL = 1e-9
 
 
-def _require_window(params: ChainParams, i: int, j: int) -> tuple[int, int]:
-    i = _check_site(params, i, "i")
-    j = _check_site(params, j, "j")
-    if i >= j:
-        raise PreconditionError("bounds need i < j")
-    return i, j
-
-
 def _require_ferromagnetic(params: ChainParams) -> None:
     if not params.is_ferromagnetic():
         raise PreconditionError("this bound needs all couplings >= 0")
@@ -76,7 +68,7 @@ def _log_edge_product(params: ChainParams, i: int, j: int) -> float:
 
 def bound_zero_field(params: ChainParams, i: int, j: int) -> float:
     """prod_{x in [i,j)} tanh(J_x); dominates the covariance under any field."""
-    i, j = _require_window(params, i, j)
+    i, j = _check_pair(params, i, j, "bound_zero_field", ordered=True)
     _require_ferromagnetic(params)
     total = 0.0
     for x in range(i, j):
@@ -93,7 +85,7 @@ def bound_nonneg_field(params: ChainParams, i: int, j: int) -> float:
     Needs all couplings and all fields nonnegative. The field sum runs over
     the window interior plus the two effective end fields of the window.
     """
-    i, j = _require_window(params, i, j)
+    i, j = _check_pair(params, i, j, "bound_nonneg_field", ordered=True)
     _require_ferromagnetic(params)
     if not params.has_nonneg_fields():
         raise PreconditionError("bound_nonneg_field needs all fields >= 0")
@@ -114,7 +106,7 @@ def bound_signed_field(
     the model as given; ``proof_route=True`` instead computes them on the
     absolute-field model, an alternate convention exposed for comparison.
     """
-    i, j = _require_window(params, i, j)
+    i, j = _check_pair(params, i, j, "bound_signed_field", ordered=True)
     _require_ferromagnetic(params)
     sweep = (params.absolute() if proof_route else params).sweep
     h_i, h_j = sweep.left_field(i), sweep.right_field(j)
@@ -132,7 +124,7 @@ def bound_abs_envelope(params: ChainParams, i: int, j: int) -> float:
     ratio grows like exp(4 sum |h-|), so the bound is inf once it passes the
     float range.
     """
-    i, j = _require_window(params, i, j)
+    i, j = _check_pair(params, i, j, "bound_abs_envelope", ordered=True)
     abs_params = params.absolute()
     # In log domain: cov_abs alone can underflow where the product does not.
     log_cov_abs, _ = log_abs_covariance(abs_params, i, j)
@@ -172,8 +164,11 @@ class BoundReport:
     bounds: dict[str, float] = field(default_factory=dict)
     slacks: dict[str, float] = field(default_factory=dict)
 
-    def violations(self, tol: float = DOMINANCE_TOL) -> list[str]:
-        return [k for k in BOUND_KEYS if k in self.slacks and self.slacks[k] < -tol]
+    def violations(self) -> list[str]:
+        """The bounds whose slack is below -DOMINANCE_TOL, in wire order."""
+        return [
+            k for k in BOUND_KEYS if k in self.slacks and self.slacks[k] < -DOMINANCE_TOL
+        ]
 
     def to_dict(self) -> dict[str, float | int | None]:
         out: dict[str, float | int | None] = {"i": self.i, "j": self.j, "exact": self.exact}
@@ -202,12 +197,7 @@ def compare(
     is cross-checked against the enumeration oracle and a disagreement is
     raised as a bug, not reported.
     """
-    i = _check_site(params, i, "i")
-    j = _check_site(params, j, "j")
-    if i == j:
-        raise PreconditionError("compare needs two distinct sites")
-    if i > j:
-        i, j = j, i
+    i, j = _check_pair(params, i, j, "compare")
     exact = covariance(params, i, j)
     if params.n_sites <= ENUMERATION_CAP:
         check = covariance_enum(params, i, j)

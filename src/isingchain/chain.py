@@ -145,9 +145,6 @@ class ChainParams:
     def has_nonneg_fields(self) -> bool:
         return all(v >= 0.0 for v in self.fields)
 
-    def to_json(self) -> str:
-        return json.dumps({"J": list(self.couplings), "h": list(self.fields)})
-
     @classmethod
     def from_json(cls, text: str) -> "ChainParams":
         try:
@@ -205,6 +202,23 @@ def _check_site(params: ChainParams, x: int, name: str = "site") -> int:
     if not 0 <= x < params.n_sites:
         raise PreconditionError(f"{name} {x} out of range for {params.n_sites} sites")
     return x
+
+
+def _check_pair(
+    params: ChainParams, i: int, j: int, name: str, ordered: bool = False
+) -> tuple[int, int]:
+    """Two distinct in-range sites, returned in increasing order.
+
+    The precondition of every pair function; ``name`` starts the message. A
+    symmetric function passes a pair given as (j, i) through swapped, an
+    ``ordered`` one refuses it.
+    """
+    i, j = _check_site(params, i, "i"), _check_site(params, j, "j")
+    if ordered and i >= j:
+        raise PreconditionError(f"{name} needs i < j")
+    if i == j:
+        raise PreconditionError(f"{name} needs two distinct sites")
+    return (i, j) if i < j else (j, i)
 
 
 def _low_spins(params: ChainParams) -> np.ndarray:
@@ -353,10 +367,7 @@ def expectation_enum(params: ChainParams, sites: Sequence[int]) -> float:
 def covariance_enum(params: ChainParams, i: int, j: int) -> float:
     """<sigma_i sigma_j> - <sigma_i><sigma_j> from ``params.enumeration``."""
     _require_enumerable(params)
-    i = _check_site(params, i, "i")
-    j = _check_site(params, j, "j")
-    if i == j:
-        raise PreconditionError("covariance needs two distinct sites")
+    i, j = _check_pair(params, i, j, "covariance")
     return float(params.enumeration.cov[i, j])
 
 
@@ -402,10 +413,7 @@ def enum_summary(
     if pair:
         if i is None or j is None:
             raise PreconditionError("give both pair sites or neither")
-        i = _check_site(params, i, "i")
-        j = _check_site(params, j, "j")
-        if i == j:
-            raise PreconditionError("covariance needs two distinct sites")
+        i, j = _check_pair(params, i, j, "covariance")
     oracle = params.enumeration
     cov = float(oracle.cov[i, j]) if pair else None
     return oracle.log_z, oracle.means, cov

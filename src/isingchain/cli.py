@@ -8,11 +8,14 @@ Subcommands:
   mc       paired-current Monte-Carlo covariance against the exact value
   decay    per-distance decay rates against the bound-implied rates
 
-Exit codes are a contract: 0 success, 2 parse error, 3 precondition
-violation or a request too large for memory, 4 bound violation, 5
-Monte-Carlo inconsistency. CSV goes to stdout with a fixed column order,
-floats at 17 significant digits and LF line endings, so a fixed seed reruns
-byte for byte. When no seed is given one is drawn and echoed on stderr.
+Exit codes are a contract: 0 success, 4 bound violation, 5 an MC estimate
+inconsistent with the exact value, 3 a request too large for memory; every
+other failure exits with the ``exit_code`` of its error type (errors.py: 2
+parse error, 3 precondition violation, 5 inconclusive estimate, 1 internal
+error). Every subcommand writes through _emit: CSV goes to stdout with a
+fixed column order, floats at 17 significant digits and LF line endings, so
+a fixed seed reruns byte for byte. When no seed is given one is drawn and
+echoed on stderr.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ import numpy as np
 
 from .bounds import (
     BOUND_KEYS,
-    DOMINANCE_TOL,
     REPORT_COLUMNS,
     bound_signed_field,
     compare,
@@ -38,10 +40,8 @@ from .bounds import (
 )
 from .chain import ENUMERATION_CAP, ChainParams, enum_summary
 from .errors import (
-    BoundViolationError,
     ChainError,
     DecayRateUndefinedError,
-    InconclusiveEstimateError,
     OracleMismatchError,
     ParseError,
     PreconditionError,
@@ -51,21 +51,23 @@ from .currents import mc_switching_covariance
 from .transfer import covariance, finite_decay_rate, log_partition, site_mean
 
 
-def _csv_cell(value: Any) -> str:
-    if isinstance(value, str):
-        return value
-    return format_cell(value)
-
-
-def _emit_csv(columns: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+def _emit(
+    args: argparse.Namespace,
+    record: Any,
+    columns: Sequence[str],
+    rows: Iterable[Sequence[Any]],
+) -> None:
+    """Write a subcommand's result to stdout: ``record`` as indented JSON for
+    ``--out json``, else the CSV table of ``columns`` over ``rows``."""
     out = sys.stdout
+    if args.out == "json":
+        out.write(json.dumps(record, indent=2) + "\n")
+        return
     out.write(",".join(columns) + "\n")
     for row in rows:
-        out.write(",".join(_csv_cell(v) for v in row) + "\n")
-
-
-def _emit_json(obj: Any) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+        out.write(
+            ",".join(v if isinstance(v, str) else format_cell(v) for v in row) + "\n"
+        )
 
 
 def _read_text(path: str) -> str:
@@ -130,9 +132,12 @@ def cmd_exact(args: argparse.Namespace) -> int:
         "log_partition": log_z,
         "means": means,
     }
+    rows = [("log_partition", log_z), *((f"mean_{x}", m) for x, m in enumerate(means))]
     if pair is not None:
         i, j = pair
-        result["pair"] = {"i": i, "j": j, "covariance": covariance(params, i, j)}
+        cov = covariance(params, i, j)
+        result["pair"] = {"i": i, "j": j, "covariance": cov}
+        rows.append(("covariance", cov))
     if params.n_sites <= ENUMERATION_CAP:
         e_log_z, e_means, e_cov = enum_summary(
             params, *(pair if pair is not None else (None, None))
@@ -148,20 +153,8 @@ def cmd_exact(args: argparse.Namespace) -> int:
         if not all(math.isfinite(v) for v in check.values()):
             raise OracleMismatchError(f"enumeration oracle returned non-finite {check}")
         result["enum_check"] = check
-    if args.out == "json":
-        _emit_json(result)
-        return 0
-    rows: list[tuple[str, float]] = [("log_partition", log_z)]
-    rows += [(f"mean_{x}", m) for x, m in enumerate(means)]
-    if pair is not None:
-        rows.append(("covariance", result["pair"]["covariance"]))
-    if "enum_check" in result:
-        check = result["enum_check"]
-        rows.append(("enum_log_partition", check["log_partition"]))
-        rows.append(("enum_max_mean_abs_diff", check["max_mean_abs_diff"]))
-        if "covariance" in check:
-            rows.append(("enum_covariance", check["covariance"]))
-    _emit_csv(("key", "value"), rows)
+        rows += [(f"enum_{key}", value) for key, value in check.items()]
+    _emit(args, result, ("key", "value"), rows)
     return 0
 
 
@@ -169,11 +162,9 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     params, _ = _resolve_instance(args)
     i, j = _pair(args)
     report = compare(params, i, j, proof_route=args.proof_route)
-    if args.out == "json":
-        _emit_json(report.to_dict())
-    else:
-        _emit_csv(REPORT_COLUMNS, [itemgetter(*REPORT_COLUMNS)(report.to_dict())])
-    violations = report.violations(DOMINANCE_TOL)
+    record = report.to_dict()
+    _emit(args, record, REPORT_COLUMNS, [itemgetter(*REPORT_COLUMNS)(record)])
+    violations = report.violations()
     if violations:
         print(f"bound violation: {', '.join(violations)}", file=sys.stderr)
         return 4
@@ -203,7 +194,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         params = generate_instance(spec, seed)
         for i, j in pairs:
             report = compare(params, i, j, proof_route=args.proof_route)
-            violated = bool(report.violations(DOMINANCE_TOL))
+            violated = bool(report.violations())
             n_violations += violated
             for key, slack in report.slacks.items():
                 if key not in min_slacks or slack < min_slacks[key]:
@@ -216,12 +207,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         f"{key}={min_slacks[key]:.17g}" if key in min_slacks else f"{key}=n/a"
         for key in BOUND_KEYS
     )
-    if args.out == "json":
-        _emit_json(
-            {"rows": rows, "min_slacks": min_slacks, "violations": n_violations}
-        )
-    else:
-        _emit_csv(columns, map(itemgetter(*columns), rows))
+    _emit(
+        args,
+        {"rows": rows, "min_slacks": min_slacks, "violations": n_violations},
+        columns,
+        map(itemgetter(*columns), rows),
+    )
     print(f"min slack: {summary}", file=sys.stderr)
     if n_violations:
         print(f"bound violations: {n_violations}", file=sys.stderr)
@@ -249,10 +240,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
         "exact": exact,
         "z_score": z_score,
     }
-    if args.out == "json":
-        _emit_json(result)
-    else:
-        _emit_csv(tuple(result), [tuple(result.values())])
+    _emit(args, result, tuple(result), [tuple(result.values())])
     if abs(z_score) > 4.0:
         print(f"mc inconsistency: |z| = {abs(z_score):.3g} > 4", file=sys.stderr)
         return 5
@@ -303,11 +291,8 @@ def cmd_decay(args: argparse.Namespace) -> int:
         rows.append(
             {"distance": d, "rate": rate, "bound_rate": bound_rate, "flag": flag}
         )
-    if args.out == "json":
-        _emit_json({"seed": seed, "rows": rows})
-    else:
-        columns = ("distance", "rate", "bound_rate", "flag")
-        _emit_csv(columns, map(itemgetter(*columns), rows))
+    columns = ("distance", "rate", "bound_rate", "flag")
+    _emit(args, {"seed": seed, "rows": rows}, columns, map(itemgetter(*columns), rows))
     if n_violations:
         print(f"decay violations: {n_violations}", file=sys.stderr)
         return 4
@@ -325,14 +310,25 @@ def _seed_arg(text: str) -> int:
     return seed
 
 
-def _add_common(parser: argparse.ArgumentParser, *, pair: bool = False) -> None:
-    parser.add_argument("--seed", type=_seed_arg, default=None, help="root RNG seed")
-    parser.add_argument(
-        "--out", choices=("csv", "json"), default="csv", help="output format"
-    )
-    if pair:
-        parser.add_argument("--i", type=int, default=None, help="first site")
-        parser.add_argument("--j", type=int, default=None, help="second site")
+# Flags that several subcommands take, each declared once. _add_common adds
+# them by name, so every subcommand keeps its own option order.
+_COMMON_FLAGS: dict[str, dict[str, Any]] = {
+    "--instance": {"help": "instance JSON file"},
+    "--spec": {"help": "instance-spec JSON file"},
+    "--proof-route": {
+        "action": "store_true",
+        "help": "evaluate the first bound's effective fields on (J, |h|)",
+    },
+    "--seed": {"type": _seed_arg, "default": None, "help": "root RNG seed"},
+    "--out": {"choices": ("csv", "json"), "default": "csv", "help": "output format"},
+    "--i": {"type": int, "default": None, "help": "first site"},
+    "--j": {"type": int, "default": None, "help": "second site"},
+}
+
+
+def _add_common(parser: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        parser.add_argument(flag, **_COMMON_FLAGS[flag])
 
 
 @functools.cache
@@ -346,51 +342,36 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("exact", help="log Z, means and pair covariance")
-    p.add_argument("--instance", help="instance JSON file")
-    p.add_argument("--spec", help="instance-spec JSON file")
-    _add_common(p, pair=True)
+    _add_common(p, "--instance", "--spec", "--seed", "--out", "--i", "--j")
 
     p = sub.add_parser("bounds", help="covariance bounds for one pair")
-    p.add_argument("--instance", help="instance JSON file")
-    p.add_argument("--spec", help="instance-spec JSON file")
-    p.add_argument(
-        "--proof-route", action="store_true",
-        help="evaluate the first bound's effective fields on (J, |h|)",
+    _add_common(
+        p, "--instance", "--spec", "--proof-route", "--seed", "--out", "--i", "--j"
     )
-    _add_common(p, pair=True)
 
     p = sub.add_parser("sweep", help="bound reports over random instances")
-    p.add_argument("--spec", help="instance-spec JSON file")
+    _add_common(p, "--spec")
     p.add_argument("--count", type=int, default=10, help="number of instances")
     p.add_argument(
         "--pairs", choices=("endpoints", "all"), default="endpoints",
         help="which site pairs to report per instance",
     )
-    p.add_argument(
-        "--proof-route", action="store_true",
-        help="evaluate the first bound's effective fields on (J, |h|)",
-    )
-    _add_common(p)
+    _add_common(p, "--proof-route", "--seed", "--out")
 
     p = sub.add_parser("mc", help="Monte-Carlo covariance vs the exact value")
-    p.add_argument("--instance", help="instance JSON file")
-    p.add_argument("--spec", help="instance-spec JSON file")
+    _add_common(p, "--instance", "--spec")
     p.add_argument(
         "--samples", type=int, default=100_000, help="number of paired samples"
     )
-    _add_common(p, pair=True)
+    _add_common(p, "--seed", "--out", "--i", "--j")
 
     p = sub.add_parser("decay", help="decay rates vs bound-implied rates")
-    p.add_argument("--spec", help="instance-spec JSON file")
+    _add_common(p, "--spec")
     p.add_argument("--n-sites", type=int, default=None, help="override spec size")
     p.add_argument(
         "--distances", default=None, help="comma-separated distances from site 0"
     )
-    p.add_argument(
-        "--proof-route", action="store_true",
-        help="evaluate the first bound's effective fields on (J, |h|)",
-    )
-    _add_common(p)
+    _add_common(p, "--proof-route", "--seed", "--out")
 
     return parser
 
@@ -402,24 +383,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     command = globals()[f"cmd_{args.command}"]
     try:
         return command(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except MemoryError as exc:
         print(f"error: request too large for memory: {exc}", file=sys.stderr)
         return 3
-    except BoundViolationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except InconclusiveEstimateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
     except ChainError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 1
+        prefix = "internal error" if exc.exit_code == 1 else "error"
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

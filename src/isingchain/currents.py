@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .chain import ChainParams, _check_site
+from .chain import ChainParams, _check_pair, _check_site
 from .errors import CapacityError, InconclusiveEstimateError, PreconditionError
 from .transfer import covariance
 
@@ -307,12 +307,7 @@ def mc_switching_covariance(
     halves of each pair contributing. For ferromagnetic nonnegative-field
     instances all signs are +1 and the estimate is a ratio of probabilities.
     """
-    i = _check_site(params, i, "i")
-    j = _check_site(params, j, "j")
-    if i == j:
-        raise PreconditionError("covariance needs two distinct sites")
-    if i > j:
-        i, j = j, i
+    i, j = _check_pair(params, i, j, "covariance")
     negative = _negative_mask(params)
     n, w_bar, d_bar, var_w, var_d, cov_wd = _sample_stats(
         _paired_terms(chunk, params.n_edges, i, j, negative)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .chain import ChainParams, _check_site
+from .chain import ChainParams, _check_pair
 from .errors import PreconditionError
 from .numeric import log_cosh
 
@@ -66,10 +66,7 @@ def truncate(params: ChainParams, i: int, j: int) -> TruncatedModel:
     Removals at the two ends never touch the same field, so the result does
     not depend on the order in which the ends are processed.
     """
-    i = _check_site(params, i, "i")
-    j = _check_site(params, j, "j")
-    if i >= j:
-        raise PreconditionError("truncate needs i < j")
+    i, j = _check_pair(params, i, j, "truncate", ordered=True)
     h_left = params.sweep.left_field(i)
     h_right = params.sweep.right_field(j)
     window_params = ChainParams._derived(

@@ -1,21 +1,29 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, each with its CLI exit code.
 
-The CLI maps these onto its exit-code contract: parse failures exit 2,
-precondition violations exit 3, dominance violations exit 4, and
-Monte-Carlo inconsistencies exit 5.
+The exit codes live here and nowhere else: ``exit_code`` is set once per
+type and inherited by its subclasses. Parse failures exit 2, precondition
+violations (capacity and undefined decay rates among them) exit 3, and
+inconclusive Monte-Carlo estimates exit 5. Every other error is a fault in
+the package itself and exits 1.
 """
 
 
 class ChainError(Exception):
     """Base class for all package-specific errors."""
 
+    exit_code = 1
+
 
 class ParseError(ChainError):
     """Malformed input file or serialized object."""
 
+    exit_code = 2
+
 
 class PreconditionError(ChainError, ValueError):
     """An operation was called outside its documented domain."""
+
+    exit_code = 3
 
 
 class CapacityError(PreconditionError):
@@ -26,12 +34,10 @@ class DecayRateUndefinedError(PreconditionError):
     """Covariance is not positive, so -log(cov)/distance is undefined."""
 
 
-class BoundViolationError(ChainError):
-    """A dominance inequality failed beyond tolerance."""
-
-
 class InconclusiveEstimateError(ChainError):
     """Monte-Carlo denominator not separated from zero; the ratio is unusable."""
+
+    exit_code = 5
 
 
 class OracleMismatchError(ChainError):

@@ -51,11 +51,6 @@ class DistSpec:
         except OverflowError as exc:
             raise PreconditionError(f"cannot draw from uniform: {exc}") from None
 
-    def to_json(self) -> dict[str, Any]:
-        if self.kind == "constant":
-            return {"type": "constant", "value": self.value}
-        return {"type": "uniform", "low": self.low, "high": self.high}
-
     @staticmethod
     def from_json(obj: Any) -> "DistSpec":
         if not isinstance(obj, dict) or "type" not in obj:
@@ -120,20 +115,6 @@ class InstanceSpec:
             if not 0 <= self.seed < SEED_LIMIT:
                 raise PreconditionError(f"seed {self.seed} outside [0, 2**63)")
         _flip_probs({"J": self.coupling_flip_prob, "h": self.field_flip_prob})
-
-    def to_json(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "n_sites": self.n_sites,
-            "J": self.coupling_dist.to_json(),
-            "h": self.field_dist.to_json(),
-            "sign_flip_prob": {
-                "J": self.coupling_flip_prob,
-                "h": self.field_flip_prob,
-            },
-        }
-        if self.seed is not None:
-            out["seed"] = self.seed
-        return out
 
     @staticmethod
     def from_json(text: str | bytes | dict[str, Any]) -> "InstanceSpec":

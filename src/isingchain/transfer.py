@@ -27,8 +27,8 @@ import math
 from array import array
 from typing import Sequence
 
-from .chain import ChainParams, _check_site
-from .errors import DecayRateUndefinedError, PreconditionError
+from .chain import ChainParams, _check_pair, _check_site
+from .errors import DecayRateUndefinedError
 from .numeric import log_add_exp, log_cosh, log_sinh_abs
 
 
@@ -115,10 +115,7 @@ def pair_expectation(params: ChainParams, i: int, j: int) -> float:
     Accurate to rounding in absolute terms; use covariance for the connected
     part, which keeps relative precision.
     """
-    i = _check_site(params, i, "i")
-    j = _check_site(params, j, "j")
-    if i >= j:
-        raise PreconditionError("pair_expectation needs i < j")
+    i, j = _check_pair(params, i, j, "pair_expectation", ordered=True)
     return covariance(params, i, j) + site_mean(params, i) * site_mean(params, j)
 
 
@@ -146,12 +143,7 @@ def covariance(params: ChainParams, i: int, j: int) -> float:
     window (see module docstring), which keeps relative precision even when
     the covariance is exponentially small.
     """
-    i = _check_site(params, i, "i")
-    j = _check_site(params, j, "j")
-    if i == j:
-        raise PreconditionError("covariance needs two distinct sites")
-    if i > j:
-        i, j = j, i
+    i, j = _check_pair(params, i, j, "covariance")
     log_abs, negative = log_abs_covariance(params, i, j)
     value = math.exp(log_abs)
     return -value if negative else value
@@ -182,10 +174,7 @@ def log_abs_covariance(params: ChainParams, i: int, j: int) -> tuple[float, bool
 
 def finite_decay_rate(params: ChainParams, i: int, j: int) -> float:
     """-log(cov(sigma_i, sigma_j)) / (j - i) for i < j; needs positive cov."""
-    i = _check_site(params, i, "i")
-    j = _check_site(params, j, "j")
-    if j - i < 1:
-        raise PreconditionError("finite_decay_rate needs j - i >= 1")
+    i, j = _check_pair(params, i, j, "finite_decay_rate", ordered=True)
     cov = covariance(params, i, j)
     if cov <= 0.0:
         raise DecayRateUndefinedError(

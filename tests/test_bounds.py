@@ -17,7 +17,13 @@ from isingchain import (
     covariance,
     partition_ratio_lower,
 )
-from isingchain.bounds import BOUND_KEYS, REPORT_COLUMNS, BoundReport, format_cell
+from isingchain.bounds import (
+    BOUND_KEYS,
+    DOMINANCE_TOL,
+    REPORT_COLUMNS,
+    BoundReport,
+    format_cell,
+)
 
 from conftest import random_params
 
@@ -283,7 +289,8 @@ class TestCompareAndReport:
             i=0, j=1, exact=0.5, bounds={"thm1": 0.4}, slacks={"thm1": -0.1}
         )
         assert report.violations() == ["thm1"]
-        assert report.violations(tol=0.2) == []
+        inside = BoundReport(i=0, j=1, exact=0.5, slacks={"thm1": -0.9 * DOMINANCE_TOL})
+        assert inside.violations() == []
 
     def test_oracle_mismatch_raised_on_corrupt_exact(self, monkeypatch):
         import isingchain.bounds as bounds_mod

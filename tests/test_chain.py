@@ -24,7 +24,20 @@ from isingchain import (
     partition_function_enum,
     window_marginal_enum,
 )
-from isingchain import compare, covariance, log_partition, site_mean, truncate
+from isingchain import (
+    bound_abs_envelope,
+    bound_nonneg_field,
+    bound_signed_field,
+    bound_zero_field,
+    compare,
+    covariance,
+    finite_decay_rate,
+    log_partition,
+    mc_switching_covariance,
+    pair_expectation,
+    site_mean,
+    truncate,
+)
 
 finite_floats = st.floats(
     min_value=-5.0, max_value=5.0, allow_nan=False, allow_infinity=False
@@ -38,6 +51,45 @@ def chain_strategy(max_sites: int = 6):
             st.tuples(*[finite_floats] * n),
         )
     ).map(lambda jh: ChainParams(jh[0], jh[1]))
+
+
+# Every public function of a site pair except window_marginal_enum, which
+# takes i <= j. The symmetric ones accept the pair in either order; the
+# ordered ones need i < j.
+SYMMETRIC_PAIR_FUNCTIONS = {
+    "covariance": covariance,
+    "covariance_enum": covariance_enum,
+    "enum_summary": lambda p, i, j: enum_summary(p, i, j)[2],
+    "compare": compare,
+    "mc_switching_covariance": lambda p, i, j: mc_switching_covariance(
+        p, i, j, samples=1000, seed=1
+    ),
+}
+ORDERED_PAIR_FUNCTIONS = {
+    "pair_expectation": pair_expectation,
+    "finite_decay_rate": finite_decay_rate,
+    "truncate": truncate,
+    "bound_signed_field": bound_signed_field,
+    "bound_nonneg_field": bound_nonneg_field,
+    "bound_abs_envelope": bound_abs_envelope,
+    "bound_zero_field": bound_zero_field,
+}
+
+
+@pytest.mark.parametrize("name", [*SYMMETRIC_PAIR_FUNCTIONS, *ORDERED_PAIR_FUNCTIONS])
+def test_pair_check_contract(name):
+    # ferromagnetic with nonnegative fields, so every bound applies
+    params = ChainParams((0.8, 0.3, 0.5), (0.5, 0.2, 0.1, 0.4))
+    fn = {**SYMMETRIC_PAIR_FUNCTIONS, **ORDERED_PAIR_FUNCTIONS}[name]
+    for i, j in ((2, 2), (0, 0), (-1, 2), (1, 4), (4, 1)):
+        with pytest.raises(PreconditionError):
+            fn(params, i, j)
+    if name in SYMMETRIC_PAIR_FUNCTIONS:
+        assert fn(params, 3, 1) == fn(params, 1, 3)
+    else:
+        fn(params, 1, 3)
+        with pytest.raises(PreconditionError, match=f"^{name} needs i < j$"):
+            fn(params, 3, 1)
 
 
 class TestChainParams:
@@ -143,7 +195,8 @@ class TestChainParams:
 
     @given(chain_strategy())
     def test_json_round_trip(self, params):
-        assert ChainParams.from_json(params.to_json()) == params
+        text = json.dumps({"J": list(params.couplings), "h": list(params.fields)})
+        assert ChainParams.from_json(text) == params
 
     @pytest.mark.parametrize(
         "text",

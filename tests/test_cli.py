@@ -10,8 +10,20 @@ from pathlib import Path
 import pytest
 
 import isingchain
-from isingchain import PARAM_LIMIT, BoundReport, ChainParams, covariance
-from isingchain.cli import main
+from isingchain import (
+    PARAM_LIMIT,
+    BoundReport,
+    CapacityError,
+    ChainError,
+    ChainParams,
+    DecayRateUndefinedError,
+    InconclusiveEstimateError,
+    OracleMismatchError,
+    ParseError,
+    PreconditionError,
+    covariance,
+)
+from isingchain.cli import build_parser, main
 from isingchain.currents import McEstimate
 
 
@@ -644,6 +656,46 @@ class TestParameterRange:
         code, out, err = run(capsys, command[0], "--spec", spec, *command[1:])
         assert code == 3 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+class TestExitCodeContract:
+    @pytest.mark.parametrize(
+        "error, code, prefix",
+        [
+            (ParseError, 2, "error"),
+            (PreconditionError, 3, "error"),
+            (CapacityError, 3, "error"),
+            (DecayRateUndefinedError, 3, "error"),
+            (InconclusiveEstimateError, 5, "error"),
+            (OracleMismatchError, 1, "internal error"),
+            (ChainError, 1, "internal error"),
+        ],
+    )
+    def test_error_type_sets_exit_code(self, capsys, monkeypatch, error, code, prefix):
+        import isingchain.cli as cli_mod
+
+        def cmd_bounds(args):
+            raise error("it failed")
+
+        monkeypatch.setattr(cli_mod, "cmd_bounds", cmd_bounds)
+        assert run(capsys, "bounds") == (code, "", f"{prefix}: it failed\n")
+
+    def test_subcommand_options(self):
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if a.dest == "command"]
+        options = {
+            name: {flag for action in p._actions for flag in action.option_strings}
+            for name, p in sub.choices.items()
+        }
+        shared = {"-h", "--help", "--spec", "--seed", "--out"}
+        pair = {"--i", "--j"}
+        assert options == {
+            "exact": shared | pair | {"--instance"},
+            "bounds": shared | pair | {"--instance", "--proof-route"},
+            "sweep": shared | {"--count", "--pairs", "--proof-route"},
+            "mc": shared | pair | {"--instance", "--samples"},
+            "decay": shared | {"--n-sites", "--distances", "--proof-route"},
+        }
 
 
 class TestModuleEntryPoint:

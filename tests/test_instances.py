@@ -1,5 +1,7 @@
 """Random instance generation: determinism, distributions, JSON parsing."""
 
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -37,11 +39,14 @@ class TestDistSpec:
             DistSpec(kind="constant", value=float("nan"))
 
     def test_json_round_trip(self):
-        for d in (
-            DistSpec(kind="constant", value=0.7),
-            DistSpec(kind="uniform", low=0.0, high=3.0),
+        for obj, d in (
+            ({"type": "constant", "value": 0.7}, DistSpec(kind="constant", value=0.7)),
+            (
+                {"type": "uniform", "low": 0.0, "high": 3.0},
+                DistSpec(kind="uniform", low=0.0, high=3.0),
+            ),
         ):
-            assert DistSpec.from_json(d.to_json()) == d
+            assert DistSpec.from_json(obj) == d
 
     def test_from_json_errors(self):
         with pytest.raises(ParseError):
@@ -72,7 +77,16 @@ class TestInstanceSpec:
             field_flip_prob=1.0,
             seed=99,
         )
-        assert InstanceSpec.from_json(spec.to_json()) == spec
+        text = json.dumps(
+            {
+                "n_sites": 6,
+                "J": {"type": "constant", "value": 1.0},
+                "h": {"type": "uniform", "low": 0.0, "high": 0.5},
+                "sign_flip_prob": {"J": 0.25, "h": 1.0},
+                "seed": 99,
+            }
+        )
+        assert InstanceSpec.from_json(text) == spec
 
     def test_from_json_scalar_flip_prob(self):
         spec = InstanceSpec.from_json('{"n_sites": 4, "sign_flip_prob": 0.5}')

@@ -16,17 +16,32 @@ format fixes (columns thm1, thm2, lemma3, zero_field):
 All products are accumulated in log domain. The per-edge factor
 4 tanh(J) / (1 + tanh(J))^2 is evaluated as 1 - exp(-4J), which is the same
 quantity exactly and keeps precision near 1 for strong couplings.
+
+Like the covariance (transfer.py), every window sum a bound needs is a running
+sum over one outward pass from the left site i (``_window_sums``), so
+``compare_row`` and ``decay_rates`` cost O(1) per right end j, and a single
+pair runs the same pass up to j.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .chain import ChainParams, _check_pair, covariance_enum, ENUMERATION_CAP
 from .errors import OracleMismatchError, PreconditionError
 from .numeric import log_cosh
-from .transfer import covariance, log_abs_covariance, log_partition
+from .transfer import (
+    ChainSweep,
+    _decay_rate,
+    _from_log,
+    covariance,
+    log_abs_covariance,
+    log_abs_covariance_row,
+    log_partition,
+)
 
 # Slack below -DOMINANCE_TOL counts as a violated bound.
 DOMINANCE_TOL = 1e-12
@@ -55,28 +70,98 @@ def _require_ferromagnetic(params: ChainParams) -> None:
         raise PreconditionError("this bound needs all couplings >= 0")
 
 
-def _log_edge_product(params: ChainParams, i: int, j: int) -> float:
-    """Sum over window edges of log(4 tanh(J)/(1+tanh(J))^2) = log(1-exp(-4J))."""
-    total = 0.0
-    for x in range(i, j):
-        jx = params.couplings[x]
-        if jx == 0.0:
-            return -math.inf
-        total += math.log(-math.expm1(-4.0 * jx))
-    return total
+def _fsum_add(partials: list[float], x: float) -> None:
+    """Add x to an exact sum kept as nonoverlapping partials (Shewchuk 1997).
+
+    math.fsum(partials) is then the correctly rounded sum of every x added,
+    the same float as math.fsum over those values.
+    """
+    n = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[n] = lo
+            n += 1
+        x = hi
+    partials[n:] = [x]
+
+
+class _WindowSums(NamedTuple):
+    """Window sums of a ferromagnetic chain for every j in (i, stop], entry j - i - 1.
+
+    ``edge``: sum over window edges of log(4 tanh(J)/(1+tanh(J))^2) =
+    log(1-exp(-4J)). ``log_tanh``: sum of log tanh(J). Both are -inf once the
+    window holds a zero coupling. ``interior`` / ``abs_interior``: the
+    correctly rounded sums of h and |h| over the interior sites i+1..j-1.
+    """
+
+    edge: array
+    log_tanh: array
+    interior: array
+    abs_interior: array
+
+
+def _window_sums(params: ChainParams, i: int, stop: int) -> _WindowSums:
+    """One outward pass from i; each running sum adds the same terms in the
+    same order as the window loop of a single pair."""
+    couplings, fields = params.couplings, params.fields
+    sums = _WindowSums(array("d"), array("d"), array("d"), array("d"))
+    edge = log_tanh = 0.0
+    parts: list[float] = []
+    abs_parts: list[float] = []
+    for k in range(i, stop):
+        if k > i:
+            _fsum_add(parts, fields[k])
+            _fsum_add(abs_parts, abs(fields[k]))
+        jk = couplings[k]
+        if jk == 0.0:
+            edge = log_tanh = -math.inf
+        else:
+            edge += math.log(-math.expm1(-4.0 * jk))
+            log_tanh += math.log(math.tanh(jk))
+        sums.edge.append(edge)
+        sums.log_tanh.append(log_tanh)
+        sums.interior.append(math.fsum(parts))
+        sums.abs_interior.append(math.fsum(abs_parts))
+    return sums
+
+
+def _log_signed_field(sums: _WindowSums, i: int, j: int, sweep: ChainSweep) -> float:
+    """log thm1: the edge product times 4 exp(-2|S|) / (1 + exp(-2 T))^2."""
+    k = j - i - 1
+    h_i, h_j = sweep.left_field(i), sweep.right_field(j)
+    s = h_i + sums.interior[k] + h_j
+    t = abs(h_i) + sums.abs_interior[k] + abs(h_j)
+    log_field = math.log(4.0) - 2.0 * abs(s) - 2.0 * math.log1p(math.exp(-2.0 * t))
+    return sums.edge[k] + log_field
+
+
+def _log_nonneg_field(sums: _WindowSums, i: int, j: int, sweep: ChainSweep) -> float:
+    """log thm2: the edge product divided by cosh^2 of the summed fields."""
+    s = sweep.left_field(i) + sums.interior[j - i - 1] + sweep.right_field(j)
+    return sums.edge[j - i - 1] - 2.0 * log_cosh(s)
+
+
+def _abs_envelope(log_cov_abs: float, log_ratio: float) -> float:
+    # In log domain: cov_abs alone can underflow where the product does not.
+    try:
+        return math.exp(log_cov_abs + 2.0 * log_ratio)
+    except OverflowError:
+        return math.inf
+
+
+def _thm1_sweep(params: ChainParams, proof_route: bool) -> ChainSweep:
+    return (params.absolute() if proof_route else params).sweep
 
 
 def bound_zero_field(params: ChainParams, i: int, j: int) -> float:
     """prod_{x in [i,j)} tanh(J_x); dominates the covariance under any field."""
     i, j = _check_pair(params, i, j, "bound_zero_field", ordered=True)
     _require_ferromagnetic(params)
-    total = 0.0
-    for x in range(i, j):
-        t = math.tanh(params.couplings[x])
-        if t == 0.0:
-            return 0.0
-        total += math.log(t)
-    return math.exp(total)
+    return math.exp(_window_sums(params, i, j).log_tanh[-1])
 
 
 def bound_nonneg_field(params: ChainParams, i: int, j: int) -> float:
@@ -89,10 +174,7 @@ def bound_nonneg_field(params: ChainParams, i: int, j: int) -> float:
     _require_ferromagnetic(params)
     if not params.has_nonneg_fields():
         raise PreconditionError("bound_nonneg_field needs all fields >= 0")
-    sweep = params.sweep
-    s = sweep.left_field(i) + math.fsum(params.fields[i + 1 : j]) + sweep.right_field(j)
-    log_bound = _log_edge_product(params, i, j) - 2.0 * log_cosh(s)
-    return math.exp(log_bound)
+    return math.exp(_log_nonneg_field(_window_sums(params, i, j), i, j, params.sweep))
 
 
 def bound_signed_field(
@@ -108,13 +190,8 @@ def bound_signed_field(
     """
     i, j = _check_pair(params, i, j, "bound_signed_field", ordered=True)
     _require_ferromagnetic(params)
-    sweep = (params.absolute() if proof_route else params).sweep
-    h_i, h_j = sweep.left_field(i), sweep.right_field(j)
-    interior = params.fields[i + 1 : j]
-    s = h_i + math.fsum(interior) + h_j
-    t = abs(h_i) + math.fsum(abs(v) for v in interior) + abs(h_j)
-    log_field = math.log(4.0) - 2.0 * abs(s) - 2.0 * math.log1p(math.exp(-2.0 * t))
-    return math.exp(_log_edge_product(params, i, j) + log_field)
+    sums = _window_sums(params, i, j)
+    return math.exp(_log_signed_field(sums, i, j, _thm1_sweep(params, proof_route)))
 
 
 def bound_abs_envelope(params: ChainParams, i: int, j: int) -> float:
@@ -126,13 +203,33 @@ def bound_abs_envelope(params: ChainParams, i: int, j: int) -> float:
     """
     i, j = _check_pair(params, i, j, "bound_abs_envelope", ordered=True)
     abs_params = params.absolute()
-    # In log domain: cov_abs alone can underflow where the product does not.
     log_cov_abs, _ = log_abs_covariance(abs_params, i, j)
-    log_ratio = log_partition(abs_params) - log_partition(params)
-    try:
-        return math.exp(log_cov_abs + 2.0 * log_ratio)
-    except OverflowError:
-        return math.inf
+    return _abs_envelope(log_cov_abs, log_partition(abs_params) - log_partition(params))
+
+
+def decay_rates(
+    params: ChainParams, i: int, stop: int, proof_route: bool = False
+) -> list[tuple[float | None, float]]:
+    """(rate, bound rate) for every j in (i, stop], entry j - i - 1.
+
+    The rate is finite_decay_rate(params, i, j), None where cov <= 0; the
+    bound rate is -log bound_signed_field(params, i, j) / (j - i), inf where
+    the bound is 0. Both are read off logs, so they stay finite where the
+    covariance or the bound underflows, and both come from one outward pass
+    from i: O(stop - i) in all.
+    """
+    i, stop = _check_pair(params, i, stop, "decay_rates", ordered=True)
+    _require_ferromagnetic(params)
+    logs, negatives = log_abs_covariance_row(params, i, stop)
+    sums = _window_sums(params, i, stop)
+    sweep = _thm1_sweep(params, proof_route)
+    return [
+        (
+            _decay_rate(logs[k], negatives[k], j - i),
+            -_log_signed_field(sums, i, j, sweep) / (j - i),
+        )
+        for k, j in enumerate(range(i + 1, stop + 1))
+    ]
 
 
 def partition_ratio_lower(params: ChainParams) -> tuple[float, float]:
@@ -198,23 +295,71 @@ def compare(
     raised as a bug, not reported.
     """
     i, j = _check_pair(params, i, j, "compare")
+    abs_logs, _ = log_abs_covariance_row(params.absolute(), i, j)
     exact = covariance(params, i, j)
-    if params.n_sites <= ENUMERATION_CAP:
-        check = covariance_enum(params, i, j)
-        if not math.isfinite(check) or abs(check - exact) > _ORACLE_CHECK_TOL:
-            raise OracleMismatchError(
-                f"solver covariance {exact!r} vs enumeration {check!r} at ({i}, {j})"
-            )
-    bounds: dict[str, float] = {}
-    slacks: dict[str, float] = {}
-    bounds["lemma3"] = bound_abs_envelope(params, i, j)
-    slacks["lemma3"] = bounds["lemma3"] - abs(exact)
-    if params.is_ferromagnetic():
-        bounds["thm1"] = bound_signed_field(params, i, j, proof_route=proof_route)
-        slacks["thm1"] = bounds["thm1"] - exact
-        bounds["zero_field"] = bound_zero_field(params, i, j)
-        slacks["zero_field"] = bounds["zero_field"] - exact
-        if params.has_nonneg_fields():
-            bounds["thm2"] = bound_nonneg_field(params, i, j)
-            slacks["thm2"] = bounds["thm2"] - exact
-    return BoundReport(i=i, j=j, exact=exact, bounds=bounds, slacks=slacks)
+    return _reports(params, i, j, [exact], abs_logs, proof_route)[0]
+
+
+def compare_row(
+    params: ChainParams, i: int, proof_route: bool = False
+) -> list[BoundReport]:
+    """compare(params, i, j) for every site j > i, in order of j.
+
+    One outward pass from i per summed quantity (the covariance, the absolute
+    instance's covariance, the bound sums), so a row costs O(N - i) and a
+    report O(1) after it; the reports equal compare's, and the oracle check
+    runs on every pair.
+    """
+    i, stop = _check_pair(params, i, params.n_sites - 1, "compare_row", ordered=True)
+    logs, negatives = log_abs_covariance_row(params, i, stop)
+    abs_params = params.absolute()
+    abs_logs = logs
+    if abs_params is not params:
+        abs_logs, _ = log_abs_covariance_row(abs_params, i, stop)
+    exacts = list(map(_from_log, logs, negatives))
+    return _reports(params, i, stop, exacts, abs_logs, proof_route)
+
+
+def _reports(
+    params: ChainParams,
+    i: int,
+    stop: int,
+    exacts: list[float],
+    abs_logs: array,
+    proof_route: bool,
+) -> list[BoundReport]:
+    """Reports of the pairs (i, j), j = stop - len(exacts) + 1 .. stop.
+
+    ``exacts`` holds their covariances and ``abs_logs`` (entry j - i - 1) the
+    absolute instance's log covariances from i. The instance-wide checks and
+    the partition ratio run once for all of them.
+    """
+    abs_params = params.absolute()
+    log_ratio = log_partition(abs_params) - log_partition(params)
+    ferromagnetic = params.is_ferromagnetic()
+    nonneg = ferromagnetic and params.has_nonneg_fields()
+    if ferromagnetic:
+        sums = _window_sums(params, i, stop)
+        thm1_sweep = _thm1_sweep(params, proof_route)
+    check_oracle = params.n_sites <= ENUMERATION_CAP
+    reports = []
+    for j, exact in zip(range(stop - len(exacts) + 1, stop + 1), exacts):
+        if check_oracle:
+            check = covariance_enum(params, i, j)
+            if not math.isfinite(check) or abs(check - exact) > _ORACLE_CHECK_TOL:
+                raise OracleMismatchError(
+                    f"solver covariance {exact!r} vs enumeration {check!r} "
+                    f"at ({i}, {j})"
+                )
+        bounds = {"lemma3": _abs_envelope(abs_logs[j - i - 1], log_ratio)}
+        if ferromagnetic:
+            bounds["thm1"] = math.exp(_log_signed_field(sums, i, j, thm1_sweep))
+            bounds["zero_field"] = math.exp(sums.log_tanh[j - i - 1])
+            if nonneg:
+                bounds["thm2"] = math.exp(_log_nonneg_field(sums, i, j, params.sweep))
+        slacks = {
+            key: bound - (abs(exact) if key == "lemma3" else exact)
+            for key, bound in bounds.items()
+        }
+        reports.append(BoundReport(i=i, j=j, exact=exact, bounds=bounds, slacks=slacks))
+    return reports

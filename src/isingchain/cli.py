@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import sys
@@ -34,21 +35,17 @@ import numpy as np
 from .bounds import (
     BOUND_KEYS,
     REPORT_COLUMNS,
-    bound_signed_field,
+    BoundReport,
     compare,
+    compare_row,
+    decay_rates,
     format_cell,
 )
 from .chain import ENUMERATION_CAP, ChainParams, enum_summary
-from .errors import (
-    ChainError,
-    DecayRateUndefinedError,
-    OracleMismatchError,
-    ParseError,
-    PreconditionError,
-)
+from .errors import ChainError, OracleMismatchError, ParseError, PreconditionError
 from .instances import SEED_LIMIT, InstanceSpec, generate_instance, instance_seeds
 from .currents import mc_switching_covariance
-from .transfer import covariance, finite_decay_rate, log_partition, site_mean
+from .transfer import covariance, log_partition, site_mean
 
 
 def _emit(
@@ -171,10 +168,17 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_pairs(n_sites: int, policy: str) -> list[tuple[int, int]]:
+def _sweep_reports(
+    params: ChainParams, policy: str, proof_route: bool
+) -> Iterable[BoundReport]:
+    """The endpoint pair's report, or every pair's in row order, one
+    compare_row per left site."""
     if policy == "endpoints":
-        return [(0, n_sites - 1)]
-    return [(i, j) for i in range(n_sites) for j in range(i + 1, n_sites)]
+        return [compare(params, 0, params.n_sites - 1, proof_route=proof_route)]
+    return itertools.chain.from_iterable(
+        compare_row(params, i, proof_route=proof_route)
+        for i in range(params.n_sites - 1)
+    )
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -185,15 +189,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise PreconditionError("sweeps need chains with at least one edge")
     root_seed = _seed_for(args, spec)
     seeds = instance_seeds(root_seed, args.count)
-    pairs = _sweep_pairs(spec.n_sites, args.pairs)
     columns = ("instance", "seed") + REPORT_COLUMNS + ("violation",)
     rows: list[dict[str, Any]] = []
     min_slacks: dict[str, float] = {}
     n_violations = 0
     for index, seed in enumerate(seeds):
         params = generate_instance(spec, seed)
-        for i, j in pairs:
-            report = compare(params, i, j, proof_route=args.proof_route)
+        for report in _sweep_reports(params, args.pairs, args.proof_route):
             violated = bool(report.violations())
             n_violations += violated
             for key, slack in report.slacks.items():
@@ -223,10 +225,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_mc(args: argparse.Namespace) -> int:
     if args.samples < 1:
         raise PreconditionError("--samples must be at least 1")
+    i, j = _pair(args)
     params, seed = _resolve_instance(args)
     if seed is None:
         seed = _draw_seed()
-    i, j = _pair(args)
     estimate = mc_switching_covariance(params, i, j, args.samples, seed)
     exact = covariance(params, i, j)
     if estimate.std_error > 0.0:
@@ -275,15 +277,12 @@ def cmd_decay(args: argparse.Namespace) -> int:
         if args.distances is not None
         else list(range(1, spec.n_sites))
     )
+    rates = decay_rates(params, 0, max(distances), proof_route=args.proof_route)
     rows: list[dict[str, Any]] = []
     n_violations = 0
     for d in distances:
-        bound = bound_signed_field(params, 0, d, proof_route=args.proof_route)
-        bound_rate = -math.log(bound) / d if bound > 0.0 else math.inf
-        try:
-            rate = finite_decay_rate(params, 0, d)
-        except DecayRateUndefinedError:
-            rate = None
+        rate, bound_rate = rates[d - 1]
+        if rate is None:
             flag = "no_rate"
         else:
             flag = "ok" if rate >= bound_rate - 1e-12 else "violation"

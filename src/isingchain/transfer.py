@@ -6,7 +6,13 @@ renormalized at every site, so the recursion survives |J|, |h| up to ~1e3 and
 chains of 1e6 sites without overflow or total underflow. One forward and one
 backward pass (ChainSweep) store the message into every site; the sweep is
 built once per ChainParams and cached on it, so log Z, each site mean and each
-effective end field cost O(1) after it and a pair costs O(j - i).
+effective end field cost O(1) after it.
+
+A covariance from a left site i is a running sum over one outward pass
+j = i+1, i+2, ...: log_abs_covariance_row reads log |cov(i, j)| for every j
+up to a stop off that pass, in O(stop - i), so a whole row of pairs costs O(1)
+per pair. A single pair runs the same pass with stop = j, O(j - i), and reads
+its last entry, so both give the same floats.
 
 The covariance is NOT computed as pair_expectation minus the product of site
 means: that difference cancels catastrophically once the covariance is
@@ -58,6 +64,12 @@ def _pair(gap: float) -> tuple[float, float]:
     return (0.0, -gap) if gap > 0.0 else (gap, 0.0)
 
 
+def _delta(
+    fwd: tuple[float, float], bwd: tuple[float, float], hx: float
+) -> float:
+    return (fwd[0] + hx + bwd[0]) - (fwd[1] - hx + bwd[1])
+
+
 class ChainSweep:
     """Forward and backward message passes over one chain, stored per site.
 
@@ -93,9 +105,7 @@ class ChainSweep:
 
     def delta(self, x: int) -> float:
         """Log-weight gap of sigma_x = +1 over -1."""
-        fwd, bwd = self.forward(x), self.backward(x)
-        hx = self._fields[x]
-        return (fwd[0] + hx + bwd[0]) - (fwd[1] - hx + bwd[1])
+        return _delta(self.forward(x), self.backward(x), self._fields[x])
 
 
 def log_partition(params: ChainParams) -> float:
@@ -136,6 +146,11 @@ def _adjacent_log_cov(
     return math.log(8.0) + ap + am + bp + bm + log_sinh_abs(2.0 * jk) - 2.0 * log_z
 
 
+def _from_log(log_abs: float, negative: bool) -> float:
+    value = math.exp(log_abs)
+    return -value if negative else value
+
+
 def covariance(params: ChainParams, i: int, j: int) -> float:
     """cov(sigma_i, sigma_j) = <sigma_i sigma_j> - <sigma_i><sigma_j>.
 
@@ -144,9 +159,7 @@ def covariance(params: ChainParams, i: int, j: int) -> float:
     the covariance is exponentially small.
     """
     i, j = _check_pair(params, i, j, "covariance")
-    log_abs, negative = log_abs_covariance(params, i, j)
-    value = math.exp(log_abs)
-    return -value if negative else value
+    return _from_log(*log_abs_covariance(params, i, j))
 
 
 def log_abs_covariance(params: ChainParams, i: int, j: int) -> tuple[float, bool]:
@@ -155,29 +168,64 @@ def log_abs_covariance(params: ChainParams, i: int, j: int) -> tuple[float, bool
     The log is -inf when a window coupling is 0. Unlike covariance, it stays
     finite where |cov| itself underflows.
     """
+    logs, negatives = log_abs_covariance_row(params, i, j)
+    return logs[-1], bool(negatives[-1])
+
+
+def log_abs_covariance_row(
+    params: ChainParams, i: int, stop: int
+) -> tuple[array, bytearray]:
+    """log_abs_covariance(params, i, j) for every j in (i, stop], entry j - i - 1.
+
+    One outward pass from i: the adjacent log covariances and the interior
+    log variances are two running sums, each over the same terms in the same
+    order as the window loop of a single pair. Every entry past a zero
+    coupling is (-inf, False).
+    """
     sweep = params.sweep
-    log_total = 0.0
+    couplings, fields = params.couplings, params.fields
+    forward, backward = sweep.forward, sweep.backward
+    logs = array("d")
+    negatives = bytearray()
+    adjacent = interior = 0.0
     negative = False
-    for k in range(i, j):
-        if params.couplings[k] == 0.0:
-            return -math.inf, False
-        if params.couplings[k] < 0.0:
+    for k in range(i, stop):
+        jk = couplings[k]
+        if jk == 0.0:
+            logs.extend([-math.inf] * (stop - k))
+            negatives.extend(bytes(stop - k))
+            break
+        if jk < 0.0:
             negative = not negative
-        log_total += _adjacent_log_cov(
-            params, k, sweep.forward(k), sweep.backward(k + 1)
-        )
-    for k in range(i + 1, j):
-        # divide by var(sigma_k) = sech^2(delta/2)
-        log_total += 2.0 * log_cosh(0.5 * sweep.delta(k))
-    return log_total, negative
+        fwd = forward(k)
+        if k > i:
+            # divide by var(sigma_k) = sech^2(delta/2)
+            interior += 2.0 * log_cosh(0.5 * _delta(fwd, bwd, fields[k]))
+        bwd = backward(k + 1)
+        adjacent += _adjacent_log_cov(params, k, fwd, bwd)
+        logs.append(adjacent + interior)
+        negatives.append(negative)
+    return logs, negatives
+
+
+def _decay_rate(log_abs: float, negative: bool, distance: int) -> float | None:
+    """-log cov / distance, read off log |cov|; None when cov <= 0."""
+    if negative or log_abs == -math.inf:
+        return None
+    return -log_abs / distance
 
 
 def finite_decay_rate(params: ChainParams, i: int, j: int) -> float:
-    """-log(cov(sigma_i, sigma_j)) / (j - i) for i < j; needs positive cov."""
+    """-log(cov(sigma_i, sigma_j)) / (j - i) for i < j; needs positive cov.
+
+    Read off log |cov|, so it stays finite where cov itself underflows.
+    """
     i, j = _check_pair(params, i, j, "finite_decay_rate", ordered=True)
-    cov = covariance(params, i, j)
-    if cov <= 0.0:
+    log_abs, negative = log_abs_covariance(params, i, j)
+    rate = _decay_rate(log_abs, negative, j - i)
+    if rate is None:
         raise DecayRateUndefinedError(
-            f"covariance {cov!r} at pair ({i}, {j}) is not positive"
+            f"covariance {_from_log(log_abs, negative)!r} at pair ({i}, {j}) "
+            "is not positive"
         )
-    return -math.log(cov) / (j - i)
+    return rate

@@ -14,7 +14,9 @@ from isingchain import (
     bound_signed_field,
     bound_zero_field,
     compare,
+    compare_row,
     covariance,
+    finite_decay_rate,
     partition_ratio_lower,
 )
 from isingchain.bounds import (
@@ -22,6 +24,8 @@ from isingchain.bounds import (
     DOMINANCE_TOL,
     REPORT_COLUMNS,
     BoundReport,
+    _fsum_add,
+    decay_rates,
     format_cell,
 )
 
@@ -314,6 +318,104 @@ class TestCompareAndReport:
         report = compare(p, 0, 2)
         assert report.exact == pytest.approx(1.0 / math.cosh(0.6) ** 2, rel=1e-12)
         assert not report.violations()
+
+
+ROW_INSTANCES = [
+    ChainParams((1.0, -0.5, 0.25), (0.3, -0.7, 0.2, 0.1)),
+    ChainParams((1.0, 0.0, 2.0, 0.5), (0.3, -0.7, 0.2, 0.1, 0.4)),
+    ChainParams((0.8, 0.3, 0.5), (0.5, 0.2, 0.1, 0.4)),
+    ChainParams((0.8, 0.3, 0.5), (0.0, -0.0, 0.1, 0.4)),
+    ChainParams((1e3, 1e3, 2.0, 1e3), (-1e3, 1e3, 0.5, -1e3, 1e3)),
+    ChainParams((0.1,) * 30, (1.5,) * 31),
+]
+
+
+def _row_instances():
+    rng = np.random.default_rng(89)
+    out = list(ROW_INSTANCES)
+    out += [random_params(rng, int(rng.integers(2, 14))) for _ in range(8)]
+    out += [ferro_params(rng, int(rng.integers(2, 14))) for _ in range(8)]
+    out += [ferro_params(rng, 30, h_low=0.0) for _ in range(2)]
+    return out
+
+
+class TestCompareRow:
+    @pytest.mark.parametrize("proof_route", [False, True])
+    @pytest.mark.parametrize("params", _row_instances())
+    def test_row_equals_per_pair_reports(self, params, proof_route):
+        # the same running sums feed both, so the reports are equal, not close
+        n = params.n_sites
+        for i in range(n - 1):
+            row = compare_row(params, i, proof_route=proof_route)
+            pairs = [compare(params, i, j, proof_route=proof_route) for j in range(i + 1, n)]
+            assert row == pairs
+
+    def test_row_bounds_equal_bound_functions(self):
+        params = ferro_params(np.random.default_rng(97), 12, h_low=0.0)
+        for report in compare_row(params, 3):
+            i, j = report.i, report.j
+            assert report.exact == covariance(params, i, j)
+            assert report.bounds == {
+                "lemma3": bound_abs_envelope(params, i, j),
+                "thm1": bound_signed_field(params, i, j),
+                "zero_field": bound_zero_field(params, i, j),
+                "thm2": bound_nonneg_field(params, i, j),
+            }
+
+    def test_pairs_and_preconditions(self):
+        p = ChainParams((1.0, 0.5, 0.2), (0.1, 0.2, 0.3, 0.4))
+        assert [(r.i, r.j) for r in compare_row(p, 1)] == [(1, 2), (1, 3)]
+        for i in (3, 4, -1):
+            with pytest.raises(PreconditionError):
+                compare_row(p, i)
+
+    def test_zero_coupling_windows_are_plus_zero(self):
+        p = ChainParams((1.0, 0.0, 2.0), (0.3, -0.7, 0.2, 0.1))
+        for report in compare_row(p, 0):
+            if report.j >= 2:
+                assert report.exact == 0.0 and math.copysign(1.0, report.exact) == 1.0
+                assert format_cell(report.exact) == "0"
+
+
+def test_running_fsum_equals_fsum_of_every_prefix():
+    # the bounds' field sums must stay the correctly rounded window sums
+    rng = np.random.default_rng(103)
+    values = rng.uniform(-1e3, 1e3, 300) * 10.0 ** rng.integers(-20, 1, 300)
+    values[::7] = -values[::7] + 1e-16
+    partials = []
+    for k, x in enumerate(values.tolist()):
+        _fsum_add(partials, x)
+        assert math.fsum(partials) == math.fsum(values[: k + 1].tolist())
+
+
+class TestDecayRates:
+    @pytest.mark.parametrize("proof_route", [False, True])
+    def test_rates_match_per_pair_functions(self, proof_route):
+        rng = np.random.default_rng(101)
+        params = ferro_params(rng, 40)
+        for k, (rate, bound_rate) in enumerate(decay_rates(params, 2, 39, proof_route)):
+            j = k + 3
+            bound = bound_signed_field(params, 2, j, proof_route=proof_route)
+            assert rate == pytest.approx(finite_decay_rate(params, 2, j), rel=1e-15)
+            assert bound_rate == pytest.approx(-math.log(bound) / (j - 2), rel=1e-14)
+
+    def test_zero_coupling_gives_no_rate_and_infinite_bound_rate(self):
+        p = ChainParams((1.0, 0.0, 2.0), (0.3, -0.7, 0.2, 0.1))
+        rates = decay_rates(p, 0, 3)
+        assert rates[0][0] is not None and math.isfinite(rates[0][1])
+        assert rates[1:] == [(None, math.inf), (None, math.inf)]
+
+    def test_rates_stay_finite_past_underflow(self):
+        # cov(0, 3999) = tanh(1)^3999 ~ exp(-1089) underflows, its log does not
+        p = ChainParams((1.0,) * 3999, (0.0,) * 4000)
+        rate, bound_rate = decay_rates(p, 0, 3999)[-1]
+        assert covariance(p, 0, 3999) == 0.0
+        assert rate == pytest.approx(-math.log(math.tanh(1.0)), rel=1e-12)
+        assert math.isfinite(bound_rate) and rate >= bound_rate
+
+    def test_needs_ferromagnetic(self):
+        with pytest.raises(PreconditionError):
+            decay_rates(ChainParams((-1.0,), (0.0, 0.0)), 0, 1)
 
 
 class TestFormatCell:

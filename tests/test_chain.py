@@ -92,6 +92,27 @@ def test_pair_check_contract(name):
             fn(params, 3, 1)
 
 
+SITE_TYPE_PARAMS = ChainParams((0.8, 0.3, 0.5), (0.5, 0.2, 0.1, 0.4))
+
+
+def test_float_site_rejected():
+    # int() would truncate 1.9 to site 1 without a word
+    with pytest.raises(PreconditionError, match="^i must be an integer"):
+        covariance(SITE_TYPE_PARAMS, 1.9, 3)
+
+
+def test_bool_site_rejected():
+    # bool is an int subclass: True would silently mean site 1
+    with pytest.raises(PreconditionError, match="^i must be an integer"):
+        covariance(SITE_TYPE_PARAMS, True, 3)
+
+
+def test_numpy_integer_site_accepted():
+    assert covariance(SITE_TYPE_PARAMS, np.int64(1), np.int32(3)) == covariance(
+        SITE_TYPE_PARAMS, 1, 3
+    )
+
+
 class TestChainParams:
     def test_lengths_validated(self):
         with pytest.raises(PreconditionError):

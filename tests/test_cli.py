@@ -425,6 +425,12 @@ class TestMc:
         )
         assert run(capsys, "mc", "--instance", single_edge, "--seed", "1")[0] == 2
 
+    def test_pair_checked_before_seed_draw(self, capsys, tmp_path):
+        spec = write_json(tmp_path, "spec.json", {"n_sites": 4})
+        code, out, err = run(capsys, "mc", "--spec", spec, "--j", "1")
+        assert code == 2 and out == ""
+        assert "seed:" not in err and "give both --i and --j" in err
+
 
 class TestDecay:
     def test_constant_chain_rates(self, capsys, tmp_path):
@@ -496,6 +502,27 @@ class TestDecay:
         assert doc["seed"] == 2 and len(doc["rows"]) == 4
         assert all(r["flag"] != "violation" for r in doc["rows"])
 
+    def test_rate_read_off_the_log_past_underflow(self, capsys, tmp_path):
+        # cov(0, d) = tanh(0.3)^d underflows to 0.0 from d ~ 610 on
+        spec = write_json(
+            tmp_path,
+            "spec.json",
+            {
+                "n_sites": 700,
+                "J": {"type": "constant", "value": 0.3},
+                "h": {"type": "constant", "value": 0.0},
+                "seed": 1,
+            },
+        )
+        code, out, err = run(capsys, "decay", "--spec", spec, "--distances", "650,699")
+        assert code == 0 and err == ""
+        _, rows = csv_rows(out)
+        expect = -math.log(math.tanh(0.3))
+        for row in rows:
+            assert float(row[1]) == pytest.approx(expect, rel=1e-12)
+            assert math.isfinite(float(row[2]))
+            assert row[3] == "ok"
+
     def test_errors(self, capsys, tmp_path):
         spec = write_json(tmp_path, "spec.json", {"n_sites": 8, "seed": 1})
         assert run(capsys, "decay", "--spec", spec, "--distances", "x")[0] == 2
@@ -507,6 +534,42 @@ class TestDecay:
             {"n_sites": 4, "sign_flip_prob": {"J": 1.0}, "seed": 1},
         )
         assert run(capsys, "decay", "--spec", anti)[0] == 3
+
+
+class TestCost:
+    """Work counted in adjacent-covariance terms, one per window edge a pass
+    visits: one outward pass per left site is linear per row, while a
+    per-distance window sum would be quadratic."""
+
+    @pytest.fixture
+    def adjacent_calls(self, monkeypatch):
+        import isingchain.transfer as transfer_mod
+
+        calls = []
+        real = transfer_mod._adjacent_log_cov
+
+        def counting(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(transfer_mod, "_adjacent_log_cov", counting)
+        return calls
+
+    def test_decay_is_linear(self, capsys, tmp_path, adjacent_calls):
+        n = 2000
+        spec = write_json(tmp_path, "spec.json", {"n_sites": n, "seed": 1})
+        assert run(capsys, "decay", "--spec", spec)[0] == 0
+        assert 0 < len(adjacent_calls) <= 2 * n
+
+    def test_sweep_all_pairs_is_quadratic(self, capsys, tmp_path, adjacent_calls):
+        # past the oracle cap; a window sum per pair would need ~N^3/3 terms
+        n, count = 40, 2
+        spec = write_json(tmp_path, "spec.json", {"n_sites": n, "seed": 1})
+        code, out, _ = run(
+            capsys, "sweep", "--spec", spec, "--count", str(count), "--pairs", "all"
+        )
+        assert code == 0 and len(out.splitlines()) == 1 + count * n * (n - 1) // 2
+        assert 0 < len(adjacent_calls) <= 2 * n * n * count
 
 
 class TestInputValidation:

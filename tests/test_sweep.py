@@ -4,12 +4,21 @@ The reference functions below are the per-site solver that ChainSweep
 replaced: every log_partition, site_mean and covariance call reran a partial
 forward and backward pass, and the end fields of a window came from removing
 the outer sites one at a time with remove_end_site. The cached sweep must
-reproduce log Z, the means and the covariances bit for bit, also on the
-extreme-parameter instances of test_transfer.py. truncate reads its end
-fields off the sweep's message gaps, which round differently from repeated
-removal, so those are gated at end_field_tolerance (4 ulp of the instance's
-largest |J|, |h|) against repeated removal and against a 50-digit mpmath
-run of the same removal recursion.
+reproduce log Z and the means bit for bit, also on the extreme-parameter
+instances of test_transfer.py.
+
+The covariance sums the same log terms as ref_covariance, each computed the
+same way, but as two running sums (adjacent covariances, interior variances)
+so that one outward pass serves every right end; the sums round differently,
+so covariances are gated at the summation error bound of Higham (2002),
+Thm 4.4 (see assert_covariance_within_gate), and against a high-precision
+mpmath transfer run whose working precision covers the cancellation in
+<sigma_i sigma_j> - <sigma_i><sigma_j>.
+
+truncate reads its end fields off the sweep's message gaps, which round
+differently from repeated removal, so those are gated at end_field_tolerance
+(4 ulp of the instance's largest |J|, |h|) against repeated removal and
+against a 50-digit mpmath run of the same removal recursion.
 """
 
 import math
@@ -28,7 +37,7 @@ from isingchain import (
     truncate,
 )
 from isingchain.numeric import log_add_exp, log_cosh
-from isingchain.transfer import _adjacent_log_cov
+from isingchain.transfer import _adjacent_log_cov, log_abs_covariance
 
 from conftest import end_field_tolerance, random_params
 
@@ -109,6 +118,142 @@ def ref_covariance(params, i, j):
     return -value if negative else value
 
 
+def ref_log_terms(params, i, j):
+    """The log terms ref_covariance sums, in its order; None past a zero coupling."""
+    if 0.0 in params.couplings[i:j]:
+        return None
+    fwd = _forward_sweep(params, j)
+    bwd = _backward_sweep(params, i)
+    terms = [_adjacent_log_cov(params, k, fwd[k], bwd[k + 1 - i]) for k in range(i, j)]
+    for k in range(i + 1, j):
+        terms.append(2.0 * log_cosh(0.5 * _site_delta(params, k, fwd[k], bwd[k - i])))
+    return terms
+
+
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def gamma(m):
+    """Higham's gamma_m = m u / (1 - m u)."""
+    return m * UNIT_ROUNDOFF / (1.0 - m * UNIT_ROUNDOFF)
+
+
+def assert_covariance_within_gate(params, i, j):
+    """covariance and log_abs_covariance against ref_covariance's terms.
+
+    Both sides add the same m terms x_k. A recursive sum of m terms is off
+    the exact sum by at most gamma_{m-1} sum |x_k| (Higham 2002, Thm 4.4),
+    and the solver's two running sums plus their final addition obey the
+    same bound, so the two logs differ by at most 2 gamma_m sum |x_k|. The
+    covariances are exp of those logs, each rounded once.
+    """
+    terms = ref_log_terms(params, i, j)
+    ref = ref_covariance(params, i, j)
+    log_abs, negative = log_abs_covariance(params, i, j)
+    covs = (covariance(params, i, j), covariance(params, j, i))
+    if terms is None:
+        assert (log_abs, negative) == (-math.inf, False)
+        assert ref == 0.0
+        assert all(c == 0.0 and math.copysign(1.0, c) == 1.0 for c in covs)
+        return
+    ref_log = 0.0
+    for term in terms:
+        ref_log += term
+    bound = 2.0 * gamma(len(terms)) * math.fsum(map(abs, terms))
+    assert abs(log_abs - ref_log) <= bound
+    assert negative == (math.copysign(1.0, ref) < 0.0)
+    for cov in covs:
+        tol = math.expm1(bound) * max(abs(cov), abs(ref)) + 2.0 * (
+            math.ulp(cov) + math.ulp(ref)
+        )
+        assert abs(cov - ref) <= tol
+
+
+def mp_log_abs_covariances(params, pairs, digits):
+    """{pair: (log |cov|, cov < 0)} by the transfer recursion at `digits` digits.
+
+    Plain transfer recursion without renormalization: the left and right
+    partial sums of every site, and <sigma_i sigma_j> by carrying sigma_i
+    from i to j. The covariance is <sigma_i sigma_j> - <sigma_i><sigma_j>,
+    a subtraction that loses about log10(1/|cov|) digits, so callers raise
+    `digits` by that loss.
+    """
+    n = params.n_sites
+    with mpmath.workdps(digits):
+        edge = [(mpmath.exp(jx), mpmath.exp(-jx)) for jx in params.couplings]
+        site = [(mpmath.exp(hx), mpmath.exp(-hx)) for hx in params.fields]
+
+        def step(v, x):
+            """Carry the pair (v+, v-) on site x - 1 across edge x - 1 onto x."""
+            same, flip = edge[x - 1]
+            return (
+                (v[0] * same + v[1] * flip) * site[x][0],
+                (v[0] * flip + v[1] * same) * site[x][1],
+            )
+
+        left = [site[0]]
+        for x in range(1, n):
+            left.append(step(left[-1], x))
+        right = [(mpmath.mpf(1), mpmath.mpf(1))] * n
+        for x in range(n - 2, -1, -1):
+            same, flip = edge[x]
+            a, b = right[x + 1][0] * site[x + 1][0], right[x + 1][1] * site[x + 1][1]
+            right[x] = (a * same + b * flip, a * flip + b * same)
+        z = left[0][0] * right[0][0] + left[0][1] * right[0][1]
+        means = [(lv[0] * rv[0] - lv[1] * rv[1]) / z for lv, rv in zip(left, right)]
+        covs = {}
+        for i, j in pairs:
+            carried = (left[i][0], -left[i][1])
+            for x in range(i + 1, j + 1):
+                carried = step(carried, x)
+            pair = (carried[0] * right[j][0] - carried[1] * right[j][1]) / z
+            cov = pair - means[i] * means[j]
+            covs[i, j] = (float(mpmath.log(abs(cov))), bool(cov < 0))
+        return covs
+
+
+# Digits the high-precision reference keeps after the cancellation.
+MP_DIGITS = 50
+# Pairs whose covariance cancels more digits than this (|cov| below about
+# 1e-400) are left to the summation gate alone, to bound the test's run time.
+MP_MAX_LOSS = 400
+
+
+def mp_covariance_tolerance(params, i, j):
+    """Allowance for log |cov| of (i, j) against the high-precision value.
+
+    Unlike the summation gate this includes the sweep's own rounding: every
+    one of the m = 2 (j - i) - 1 terms is a log-sum-exp of parts of size up
+    to about 4 max(|J|, |h|), rounded to a few ulp of that size. The largest
+    error seen was 10.7 u m max(1, |J|, |h|) on INSTANCES and 16 on 150
+    further random chains of 2-39 sites with |J|, |h| up to 1e3.
+    """
+    scale = max(1.0, *map(abs, params.couplings + params.fields))
+    return 64.0 * UNIT_ROUNDOFF * (2 * (j - i) - 1) * scale
+
+
+def assert_covariances_match_high_precision(params, pairs):
+    """log |cov| and its sign against the high-precision transfer on every
+    pair it can afford; returns how many pairs it checked."""
+    checked = {}
+    for i, j in pairs:
+        terms = ref_log_terms(params, i, j)
+        if terms is None:
+            continue  # a zero coupling makes the two sides independent
+        loss = max(0.0, -sum(terms) / math.log(10.0))
+        if loss <= MP_MAX_LOSS:
+            checked[i, j] = loss
+    if not checked:
+        return 0
+    digits = MP_DIGITS + 10 + math.ceil(max(checked.values()))
+    covs = mp_log_abs_covariances(params, checked, digits)
+    for (i, j), (mp_log, mp_negative) in covs.items():
+        log_abs, negative = log_abs_covariance(params, i, j)
+        assert negative == mp_negative
+        assert abs(log_abs - mp_log) <= mp_covariance_tolerance(params, i, j)
+    return len(checked)
+
+
 def ref_end_fields(params, i, j):
     h_right = params.fields[-1]
     for k in range(params.n_sites - 2, j - 1, -1):
@@ -177,8 +322,15 @@ def test_solver_bit_identical_to_per_site_recursion(params):
         assert site_mean(params, x) == ref_site_mean(params, x)
     for i in range(n):
         for j in range(i + 1, n):
-            assert covariance(params, i, j) == ref_covariance(params, i, j)
-            assert covariance(params, j, i) == ref_covariance(params, i, j)
+            assert_covariance_within_gate(params, i, j)
+
+
+@pytest.mark.parametrize("params", INSTANCES)
+def test_covariance_matches_high_precision_transfer(params):
+    n = params.n_sites
+    assert_covariances_match_high_precision(
+        params, [(i, j) for i in range(n) for j in range(i + 1, n)]
+    )
 
 
 @pytest.mark.parametrize("params", INSTANCES)
@@ -218,9 +370,16 @@ def test_long_chain_bit_identical():
     for x in (0, 1, 1499, 2998, 2999):
         assert site_mean(params, x) == ref_site_mean(params, x)
     for i, j in ((0, 2999), (1000, 1100), (2998, 2999)):
-        assert covariance(params, i, j) == ref_covariance(params, i, j)
+        assert_covariance_within_gate(params, i, j)
         model = truncate(params, i, j)
         assert_end_fields_within_gate(params, model, ref_end_fields(params, i, j))
+
+
+def test_long_chain_covariance_matches_high_precision_transfer():
+    rng = np.random.default_rng(77)
+    params = random_params(rng, 3000)
+    pairs = [(1000, 1100), (2998, 2999), (0, 60), (2900, 2999)]
+    assert assert_covariances_match_high_precision(params, pairs) == len(pairs)
 
 
 def test_sweep_built_once_per_instance():

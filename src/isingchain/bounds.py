@@ -37,7 +37,6 @@ from .transfer import (
     ChainSweep,
     _decay_rate,
     _from_log,
-    covariance,
     log_abs_covariance,
     log_abs_covariance_row,
     log_partition,
@@ -295,9 +294,7 @@ def compare(
     raised as a bug, not reported.
     """
     i, j = _check_pair(params, i, j, "compare")
-    abs_logs, _ = log_abs_covariance_row(params.absolute(), i, j)
-    exact = covariance(params, i, j)
-    return _reports(params, i, j, [exact], abs_logs, proof_route)[0]
+    return _reports(params, i, j, j, proof_route)[0]
 
 
 def compare_row(
@@ -311,30 +308,24 @@ def compare_row(
     runs on every pair.
     """
     i, stop = _check_pair(params, i, params.n_sites - 1, "compare_row", ordered=True)
+    return _reports(params, i, i + 1, stop, proof_route)
+
+
+def _reports(
+    params: ChainParams, i: int, first: int, stop: int, proof_route: bool
+) -> list[BoundReport]:
+    """Reports of the pairs (i, j), j = first .. stop, off one outward pass
+    from i to stop per summed quantity.
+
+    The absolute instance's covariance row is the instance's own when
+    ``params.absolute() is params``. The instance-wide checks and the
+    partition ratio run once for all the pairs.
+    """
     logs, negatives = log_abs_covariance_row(params, i, stop)
     abs_params = params.absolute()
     abs_logs = logs
     if abs_params is not params:
         abs_logs, _ = log_abs_covariance_row(abs_params, i, stop)
-    exacts = list(map(_from_log, logs, negatives))
-    return _reports(params, i, stop, exacts, abs_logs, proof_route)
-
-
-def _reports(
-    params: ChainParams,
-    i: int,
-    stop: int,
-    exacts: list[float],
-    abs_logs: array,
-    proof_route: bool,
-) -> list[BoundReport]:
-    """Reports of the pairs (i, j), j = stop - len(exacts) + 1 .. stop.
-
-    ``exacts`` holds their covariances and ``abs_logs`` (entry j - i - 1) the
-    absolute instance's log covariances from i. The instance-wide checks and
-    the partition ratio run once for all of them.
-    """
-    abs_params = params.absolute()
     log_ratio = log_partition(abs_params) - log_partition(params)
     ferromagnetic = params.is_ferromagnetic()
     nonneg = ferromagnetic and params.has_nonneg_fields()
@@ -343,7 +334,9 @@ def _reports(
         thm1_sweep = _thm1_sweep(params, proof_route)
     check_oracle = params.n_sites <= ENUMERATION_CAP
     reports = []
-    for j, exact in zip(range(stop - len(exacts) + 1, stop + 1), exacts):
+    for j in range(first, stop + 1):
+        k = j - i - 1
+        exact = _from_log(logs[k], negatives[k])
         if check_oracle:
             check = covariance_enum(params, i, j)
             if not math.isfinite(check) or abs(check - exact) > _ORACLE_CHECK_TOL:
@@ -351,10 +344,10 @@ def _reports(
                     f"solver covariance {exact!r} vs enumeration {check!r} "
                     f"at ({i}, {j})"
                 )
-        bounds = {"lemma3": _abs_envelope(abs_logs[j - i - 1], log_ratio)}
+        bounds = {"lemma3": _abs_envelope(abs_logs[k], log_ratio)}
         if ferromagnetic:
             bounds["thm1"] = math.exp(_log_signed_field(sums, i, j, thm1_sweep))
-            bounds["zero_field"] = math.exp(sums.log_tanh[j - i - 1])
+            bounds["zero_field"] = math.exp(sums.log_tanh[k])
             if nonneg:
                 bounds["thm2"] = math.exp(_log_nonneg_field(sums, i, j, params.sweep))
         slacks = {

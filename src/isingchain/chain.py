@@ -197,12 +197,16 @@ def _require_enumerable(params: ChainParams) -> None:
         )
 
 
-def _check_site(params: ChainParams, x: int, name: str = "site") -> int:
-    # bool is an int subclass; a float or a bool site would be truncated
-    # silently by int(), so only Python and numpy integers pass.
+def _check_integer(x: int, name: str) -> int:
+    # bool is an int subclass; a float or a bool would be truncated silently
+    # by int(), so only Python and numpy integers pass.
     if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
         raise PreconditionError(f"{name} must be an integer, got {x!r}")
-    x = int(x)
+    return int(x)
+
+
+def _check_site(params: ChainParams, x: int, name: str = "site") -> int:
+    x = _check_integer(x, name)
     if not 0 <= x < params.n_sites:
         raise PreconditionError(f"{name} {x} out of range for {params.n_sites} sites")
     return x

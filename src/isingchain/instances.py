@@ -16,7 +16,7 @@ from typing import Any
 
 import numpy as np
 
-from .chain import ChainParams
+from .chain import ChainParams, _check_integer
 from .errors import ParseError, PreconditionError
 
 # Seeds are integers in [0, SEED_LIMIT).
@@ -107,11 +107,11 @@ class InstanceSpec:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if int(self.n_sites) < 1:
+        object.__setattr__(self, "n_sites", _check_integer(self.n_sites, "n_sites"))
+        if self.n_sites < 1:
             raise PreconditionError("need at least one site")
-        object.__setattr__(self, "n_sites", int(self.n_sites))
         if self.seed is not None:
-            object.__setattr__(self, "seed", int(self.seed))
+            object.__setattr__(self, "seed", _check_integer(self.seed, "seed"))
             if not 0 <= self.seed < SEED_LIMIT:
                 raise PreconditionError(f"seed {self.seed} outside [0, 2**63)")
         _flip_probs({"J": self.coupling_flip_prob, "h": self.field_flip_prob})

@@ -4,9 +4,13 @@ Messages are the relative weights of sigma_x = +1 / -1 once everything on one
 side of site x has been summed out. They are propagated in log domain and
 renormalized at every site, so the recursion survives |J|, |h| up to ~1e3 and
 chains of 1e6 sites without overflow or total underflow. One forward and one
-backward pass (ChainSweep) store the message into every site; the sweep is
-built once per ChainParams and cached on it, so log Z, each site mean and each
-effective end field cost O(1) after it.
+backward pass (ChainSweep) store the message into every site as an effective
+field: the field on x once every site left (right) of x is summed out. The
+sweep is built once per ChainParams and cached on it, so log Z, each site mean
+and each effective end field cost O(1) after it.
+
+The site field f_x = left_field(x) + right_field(x) - h_x carries both
+messages, so <sigma_x> = tanh(f_x) and var(sigma_x) = sech^2(f_x).
 
 A covariance from a left site i is a running sum over one outward pass
 j = i+1, i+2, ...: log_abs_covariance_row reads log |cov(i, j)| for every j
@@ -17,14 +21,15 @@ its last entry, so both give the same floats.
 The covariance is NOT computed as pair_expectation minus the product of site
 means: that difference cancels catastrophically once the covariance is
 exponentially small. The chain measure is Markov, so the covariance telescopes
-into a product of adjacent-pair covariances divided by interior variances, and
-each adjacent covariance has the cancellation-free form
+into a product of adjacent-pair covariances divided by interior variances. The
+marginal of (sigma_k, sigma_{k+1}) is the two-site chain with coupling J = J_k
+and fields a = left_field(k), b = right_field(k+1), whose covariance has the
+cancellation-free form, with s = sign J,
 
-    cov(sigma_k, sigma_{k+1}) = 8 A+ A- B+ B- sinh(2 J_k) / Z_loc^2
+    |cov| = (1 - exp(-4|J|)) / (cosh(a + s b) + exp(-2|J|) cosh(a - s b))^2
 
-where A (B) are the left (right) weights with the local fields absorbed and
-Z_loc is the local normalization. Every factor is a positive product, so the
-result keeps full relative precision however small it is.
+Every factor is positive, so the result keeps full relative precision however
+small it is.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from typing import Sequence
 
 from .chain import ChainParams, _check_pair, _check_site
 from .errors import DecayRateUndefinedError
-from .numeric import log_add_exp, log_cosh, log_sinh_abs
+from .numeric import log_add_exp, log_cosh
 
 
 def _pass(couplings: Sequence[float], fields: Sequence[float]) -> tuple[array, float]:
@@ -43,7 +48,7 @@ def _pass(couplings: Sequence[float], fields: Sequence[float]) -> tuple[array, f
 
     Gap x is lp - lm of the renormalized log-message into site x with the
     sites < x summed out (their fields absorbed, h_x not). The pair is shifted
-    so its larger component is exactly 0, so the gap alone restores it.
+    so its larger component is exactly 0, so the gap alone carries it.
     """
     gaps = array("d", [0.0])
     scale = lp = lm = 0.0
@@ -60,16 +65,6 @@ def _pass(couplings: Sequence[float], fields: Sequence[float]) -> tuple[array, f
     return gaps, scale + log_add_exp(lp + h_last, lm - h_last)
 
 
-def _pair(gap: float) -> tuple[float, float]:
-    return (0.0, -gap) if gap > 0.0 else (gap, 0.0)
-
-
-def _delta(
-    fwd: tuple[float, float], bwd: tuple[float, float], hx: float
-) -> float:
-    return (fwd[0] + hx + bwd[0]) - (fwd[1] - hx + bwd[1])
-
-
 class ChainSweep:
     """Forward and backward message passes over one chain, stored per site.
 
@@ -77,12 +72,13 @@ class ChainSweep:
     the forward pass over the reflected chain, read back in site order.
 
     * ``log_z``: log Z, accumulated by the forward pass.
-    * ``forward(x)`` / ``backward(x)``: shifted log-weights (lp, lm) of the
-      message into x from the left / right.
     * ``left_field(x)`` / ``right_field(x)``: field on x once every site left /
       right of x is summed out (the end fields of ``truncate``). The message
       from that side weighs sigma_x by exp(gap * sigma_x / 2), so the field
       is h_x plus half the stored gap.
+
+    These two fields are the only form in which the solver reads a message:
+    site means and covariances are closed forms in them (module docstring).
     """
 
     def __init__(self, params: ChainParams) -> None:
@@ -97,16 +93,6 @@ class ChainSweep:
     def right_field(self, x: int) -> float:
         return self._fields[x] + 0.5 * self._bwd[x]
 
-    def forward(self, x: int) -> tuple[float, float]:
-        return _pair(self._fwd[x])
-
-    def backward(self, x: int) -> tuple[float, float]:
-        return _pair(self._bwd[x])
-
-    def delta(self, x: int) -> float:
-        """Log-weight gap of sigma_x = +1 over -1."""
-        return _delta(self.forward(x), self.backward(x), self._fields[x])
-
 
 def log_partition(params: ChainParams) -> float:
     """log Z, exact up to rounding, finite for any finite parameters."""
@@ -116,7 +102,8 @@ def log_partition(params: ChainParams) -> float:
 def site_mean(params: ChainParams, x: int) -> float:
     """<sigma_x>; strictly inside (-1, 1) for finite parameters."""
     x = _check_site(params, x)
-    return math.tanh(0.5 * params.sweep.delta(x))
+    sweep = params.sweep
+    return math.tanh(sweep.left_field(x) + sweep.right_field(x) - params.fields[x])
 
 
 def pair_expectation(params: ChainParams, i: int, j: int) -> float:
@@ -129,21 +116,12 @@ def pair_expectation(params: ChainParams, i: int, j: int) -> float:
     return covariance(params, i, j) + site_mean(params, i) * site_mean(params, j)
 
 
-def _adjacent_log_cov(
-    params: ChainParams,
-    k: int,
-    fwd: tuple[float, float],
-    bwd: tuple[float, float],
-) -> float:
-    """log |cov(sigma_k, sigma_{k+1})| from the messages into k and k+1."""
-    jk = params.couplings[k]
-    ap, am = fwd[0] + params.fields[k], fwd[1] - params.fields[k]
-    bp, bm = bwd[0] + params.fields[k + 1], bwd[1] - params.fields[k + 1]
-    log_z = log_add_exp(
-        log_add_exp(ap + jk + bp, ap - jk + bm),
-        log_add_exp(am - jk + bp, am + jk + bm),
-    )
-    return math.log(8.0) + ap + am + bp + bm + log_sinh_abs(2.0 * jk) - 2.0 * log_z
+def _adjacent_log_cov(jk: float, a: float, b: float) -> float:
+    """log |cov| of the two-site chain with coupling jk != 0 and fields a, b."""
+    if jk < 0.0:
+        jk, b = -jk, -b
+    log_den = log_add_exp(log_cosh(a + b), log_cosh(a - b) - 2.0 * jk)
+    return math.log(-math.expm1(-4.0 * jk)) - 2.0 * log_den
 
 
 def _from_log(log_abs: float, negative: bool) -> float:
@@ -184,7 +162,6 @@ def log_abs_covariance_row(
     """
     sweep = params.sweep
     couplings, fields = params.couplings, params.fields
-    forward, backward = sweep.forward, sweep.backward
     logs = array("d")
     negatives = bytearray()
     adjacent = interior = 0.0
@@ -197,12 +174,12 @@ def log_abs_covariance_row(
             break
         if jk < 0.0:
             negative = not negative
-        fwd = forward(k)
+        a = sweep.left_field(k)
         if k > i:
-            # divide by var(sigma_k) = sech^2(delta/2)
-            interior += 2.0 * log_cosh(0.5 * _delta(fwd, bwd, fields[k]))
-        bwd = backward(k + 1)
-        adjacent += _adjacent_log_cov(params, k, fwd, bwd)
+            # divide by var(sigma_k) = sech^2(f_k); b is right_field(k)
+            interior += 2.0 * log_cosh(a + b - fields[k])
+        b = sweep.right_field(k + 1)
+        adjacent += _adjacent_log_cov(jk, a, b)
         logs.append(adjacent + interior)
         negatives.append(negative)
     return logs, negatives

@@ -298,11 +298,10 @@ class TestCompareAndReport:
 
     def test_oracle_mismatch_raised_on_corrupt_exact(self, monkeypatch):
         import isingchain.bounds as bounds_mod
+        from isingchain.transfer import _from_log
 
         p = ChainParams((1.0,), (0.1, 0.2))
-        monkeypatch.setattr(
-            bounds_mod, "covariance", lambda *a, **k: covariance(p, 0, 1) + 1e-6
-        )
+        monkeypatch.setattr(bounds_mod, "_from_log", lambda *a: _from_log(*a) + 1e-6)
         with pytest.raises(OracleMismatchError):
             compare(p, 0, 1)
 

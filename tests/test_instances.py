@@ -118,6 +118,24 @@ class TestInstanceSpec:
         with pytest.raises(PreconditionError):
             InstanceSpec(field_flip_prob=1.5)
 
+    # int() would turn these into 3 sites, 1 site and seed 2 without a word.
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"n_sites": 3.7}, {"n_sites": True}, {"seed": 2.9}],
+        ids=["float_n_sites", "bool_n_sites", "float_seed"],
+    )
+    def test_non_integer_refused(self, kwargs):
+        (key,) = kwargs
+        with pytest.raises(PreconditionError, match=f"^{key} must be an integer"):
+            InstanceSpec(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        import numpy as np
+
+        spec = InstanceSpec(n_sites=np.int64(5), seed=np.uint32(7))
+        assert (spec.n_sites, spec.seed) == (5, 7)
+        assert type(spec.n_sites) is int and type(spec.seed) is int
+
 
 class TestGenerateInstance:
     def test_deterministic(self):

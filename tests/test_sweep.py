@@ -1,11 +1,12 @@
-"""Precision gate for ChainSweep against the per-site recursions it replaced.
+"""Precision gate for ChainSweep against per-site recursions.
 
-The reference functions below are the per-site solver that ChainSweep
-replaced: every log_partition, site_mean and covariance call reran a partial
-forward and backward pass, and the end fields of a window came from removing
-the outer sites one at a time with remove_end_site. The cached sweep must
-reproduce log Z and the means bit for bit, also on the extreme-parameter
-instances of test_transfer.py.
+The reference functions below rerun a partial forward and backward pass per
+site, as the solver did before ChainSweep, and the end fields of a window come
+from removing the outer sites one at a time with remove_end_site. From its own
+passes each reference forms the site field f_x = left + right - h_x and the
+two-site adjacent covariance of transfer.py's module docstring. The cached
+sweep must reproduce log Z and the means bit for bit, also on the
+extreme-parameter instances of test_transfer.py.
 
 The covariance sums the same log terms as ref_covariance, each computed the
 same way, but as two running sums (adjacent covariances, interior variances)
@@ -13,7 +14,8 @@ so that one outward pass serves every right end; the sums round differently,
 so covariances are gated at the summation error bound of Higham (2002),
 Thm 4.4 (see assert_covariance_within_gate), and against a high-precision
 mpmath transfer run whose working precision covers the cancellation in
-<sigma_i sigma_j> - <sigma_i><sigma_j>.
+<sigma_i sigma_j> - <sigma_i><sigma_j>. The same transfer run gates log Z and
+every site mean.
 
 truncate reads its end fields off the sweep's message gaps, which round
 differently from repeated removal, so those are gated at end_field_tolerance
@@ -73,13 +75,25 @@ def _backward_sweep(params, start):
     return out
 
 
-def _site_delta(params, x, fwd, bwd):
-    hx = params.fields[x]
-    return (fwd[0] + hx + bwd[0]) - (fwd[1] - hx + bwd[1])
+def _end_field(params, x, msg):
+    """Field on x with one side summed out, from that side's (lp, lm)."""
+    return params.fields[x] + 0.5 * (msg[0] - msg[1])
 
 
-def ref_log_partition(params):
-    scale = 0.0
+def _site_field(params, x, fwd, bwd):
+    """f_x: the field on x with both sides summed out."""
+    return _end_field(params, x, fwd) + _end_field(params, x, bwd) - params.fields[x]
+
+
+def _adjacent_term(params, k, fwd, bwd):
+    """log |cov(sigma_k, sigma_{k+1})| from the messages into k and k+1."""
+    a, b = _end_field(params, k, fwd), _end_field(params, k + 1, bwd)
+    return _adjacent_log_cov(params.couplings[k], a, b)
+
+
+def ref_log_partition_terms(params):
+    """The per-site log-scale shifts whose recursive sum is log Z."""
+    terms = []
     lp = lm = 0.0
     for y in range(params.n_edges):
         hy = params.fields[y]
@@ -89,15 +103,23 @@ def ref_log_partition(params):
         nlm = log_add_exp(ap - jy, am + jy)
         shift = nlp if nlp >= nlm else nlm
         lp, lm = nlp - shift, nlm - shift
-        scale += shift
+        terms.append(shift)
     h_last = params.fields[-1]
-    return scale + log_add_exp(lp + h_last, lm - h_last)
+    terms.append(log_add_exp(lp + h_last, lm - h_last))
+    return terms
+
+
+def ref_log_partition(params):
+    total = 0.0
+    for term in ref_log_partition_terms(params):
+        total += term
+    return total
 
 
 def ref_site_mean(params, x):
     fwd = _forward_sweep(params, x)[x]
     bwd = _backward_sweep(params, x)[0]
-    return math.tanh(0.5 * _site_delta(params, x, fwd, bwd))
+    return math.tanh(_site_field(params, x, fwd, bwd))
 
 
 def ref_covariance(params, i, j):
@@ -110,10 +132,9 @@ def ref_covariance(params, i, j):
             return 0.0
         if params.couplings[k] < 0.0:
             negative = not negative
-        log_total += _adjacent_log_cov(params, k, fwd[k], bwd[k + 1 - i])
+        log_total += _adjacent_term(params, k, fwd[k], bwd[k + 1 - i])
     for k in range(i + 1, j):
-        delta = _site_delta(params, k, fwd[k], bwd[k - i])
-        log_total += 2.0 * log_cosh(0.5 * delta)
+        log_total += 2.0 * log_cosh(_site_field(params, k, fwd[k], bwd[k - i]))
     value = math.exp(log_total)
     return -value if negative else value
 
@@ -124,9 +145,9 @@ def ref_log_terms(params, i, j):
         return None
     fwd = _forward_sweep(params, j)
     bwd = _backward_sweep(params, i)
-    terms = [_adjacent_log_cov(params, k, fwd[k], bwd[k + 1 - i]) for k in range(i, j)]
+    terms = [_adjacent_term(params, k, fwd[k], bwd[k + 1 - i]) for k in range(i, j)]
     for k in range(i + 1, j):
-        terms.append(2.0 * log_cosh(0.5 * _site_delta(params, k, fwd[k], bwd[k - i])))
+        terms.append(2.0 * log_cosh(_site_field(params, k, fwd[k], bwd[k - i])))
     return terms
 
 
@@ -169,8 +190,8 @@ def assert_covariance_within_gate(params, i, j):
         assert abs(cov - ref) <= tol
 
 
-def mp_log_abs_covariances(params, pairs, digits):
-    """{pair: (log |cov|, cov < 0)} by the transfer recursion at `digits` digits.
+def mp_transfer(params, digits, pairs=()):
+    """(log Z, site means, {pair: (log |cov|, cov < 0)}) at `digits` digits.
 
     Plain transfer recursion without renormalization: the left and right
     partial sums of every site, and <sigma_i sigma_j> by carrying sigma_i
@@ -209,7 +230,7 @@ def mp_log_abs_covariances(params, pairs, digits):
             pair = (carried[0] * right[j][0] - carried[1] * right[j][1]) / z
             cov = pair - means[i] * means[j]
             covs[i, j] = (float(mpmath.log(abs(cov))), bool(cov < 0))
-        return covs
+        return float(mpmath.log(z)), [float(m) for m in means], covs
 
 
 # Digits the high-precision reference keeps after the cancellation.
@@ -219,17 +240,46 @@ MP_DIGITS = 50
 MP_MAX_LOSS = 400
 
 
+def param_scale(params):
+    """max(1, |J|, |h|) over the instance."""
+    return max(1.0, *map(abs, params.couplings + params.fields))
+
+
+def assert_log_z_and_means_match_high_precision(params):
+    """log Z and every site mean against the high-precision transfer.
+
+    Each of the N shifts that log Z sums is a log-sum-exp of parts up to
+    about 2 max(|J|, |h|), rounded to a few ulp of that size, so their exact
+    sum is within 16 u N param_scale of log Z. The sweep adds them one by
+    one, which adds at most gamma_N sum |shift| (Higham 2002, Thm 4.4). A
+    mean is tanh of a site field of size up to about max(|J|, |h|) that
+    carries a few ulp of it, so it is gated at 16 u param_scale. Largest
+    errors seen on INSTANCES, the 3000-site chain and 150 further random
+    chains, in these units: 1.94 for the shifts' exact sum and 2.0 for the
+    means; log Z itself read 16.4 u N param_scale on the 3000-site chain,
+    all of it from the recursive sum.
+    """
+    log_z, means, _ = mp_transfer(params, MP_DIGITS)
+    scale = param_scale(params)
+    shifts = ref_log_partition_terms(params)
+    steps = 16.0 * UNIT_ROUNDOFF * params.n_sites * scale
+    assert abs(math.fsum(shifts) - log_z) <= steps
+    summation = gamma(len(shifts)) * math.fsum(map(abs, shifts))
+    assert abs(log_partition(params) - log_z) <= steps + summation
+    for x, mean in enumerate(means):
+        assert abs(site_mean(params, x) - mean) <= 16.0 * UNIT_ROUNDOFF * scale
+
+
 def mp_covariance_tolerance(params, i, j):
     """Allowance for log |cov| of (i, j) against the high-precision value.
 
     Unlike the summation gate this includes the sweep's own rounding: every
     one of the m = 2 (j - i) - 1 terms is a log-sum-exp of parts of size up
     to about 4 max(|J|, |h|), rounded to a few ulp of that size. The largest
-    error seen was 10.7 u m max(1, |J|, |h|) on INSTANCES and 16 on 150
+    error seen was 11.5 u m max(1, |J|, |h|) on INSTANCES and 11.2 on 150
     further random chains of 2-39 sites with |J|, |h| up to 1e3.
     """
-    scale = max(1.0, *map(abs, params.couplings + params.fields))
-    return 64.0 * UNIT_ROUNDOFF * (2 * (j - i) - 1) * scale
+    return 64.0 * UNIT_ROUNDOFF * (2 * (j - i) - 1) * param_scale(params)
 
 
 def assert_covariances_match_high_precision(params, pairs):
@@ -246,7 +296,7 @@ def assert_covariances_match_high_precision(params, pairs):
     if not checked:
         return 0
     digits = MP_DIGITS + 10 + math.ceil(max(checked.values()))
-    covs = mp_log_abs_covariances(params, checked, digits)
+    _, _, covs = mp_transfer(params, digits, checked)
     for (i, j), (mp_log, mp_negative) in covs.items():
         log_abs, negative = log_abs_covariance(params, i, j)
         assert negative == mp_negative
@@ -334,6 +384,11 @@ def test_covariance_matches_high_precision_transfer(params):
 
 
 @pytest.mark.parametrize("params", INSTANCES)
+def test_log_z_and_means_match_high_precision_transfer(params):
+    assert_log_z_and_means_match_high_precision(params)
+
+
+@pytest.mark.parametrize("params", INSTANCES)
 def test_truncate_bit_identical_to_repeated_removal(params):
     # Gated, not bit-equal: the sweep's gaps and repeated removal round
     # differently in the last bits.
@@ -380,6 +435,11 @@ def test_long_chain_covariance_matches_high_precision_transfer():
     params = random_params(rng, 3000)
     pairs = [(1000, 1100), (2998, 2999), (0, 60), (2900, 2999)]
     assert assert_covariances_match_high_precision(params, pairs) == len(pairs)
+
+
+def test_long_chain_log_z_and_means_match_high_precision_transfer():
+    rng = np.random.default_rng(77)
+    assert_log_z_and_means_match_high_precision(random_params(rng, 3000))
 
 
 def test_sweep_built_once_per_instance():

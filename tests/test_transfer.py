@@ -22,7 +22,7 @@ from isingchain import (
 )
 from isingchain.numeric import log_add_exp, log_cosh, log_sinh_abs
 
-from conftest import random_params
+from conftest import end_field_tolerance, random_params
 
 
 class TestNumericHelpers:
@@ -108,12 +108,18 @@ class TestSiteMean:
                 )
 
     def test_messages_normalized(self):
+        # Summing out one side shifts a site's field by at most the |J| of
+        # the edge to that side, however long the side is.
         p = ChainParams((2.0, -1.0), (0.5, -0.5, 1.0))
+        tol = end_field_tolerance(p)
+        edges = (0.0,) + tuple(map(abs, p.couplings)) + (0.0,)
         for x in range(3):
-            for msg in (p.sweep.forward(x), p.sweep.backward(x)):
-                weights = tuple(math.exp(v) for v in msg)
-                assert max(weights) == pytest.approx(1.0, abs=0.0)
-                assert min(weights) > 0.0
+            for field, edge in (
+                (p.sweep.left_field(x), edges[x]),
+                (p.sweep.right_field(x), edges[x + 1]),
+            ):
+                assert math.isfinite(field)
+                assert abs(field - p.fields[x]) <= edge + tol
 
 
 class TestPairExpectation:

@@ -20,7 +20,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -140,10 +140,10 @@ class ChainParams:
         return ChainParams(self.couplings[::-1], self.fields[::-1])
 
     def is_ferromagnetic(self) -> bool:
-        return all(j >= 0.0 for j in self.couplings)
+        return min(self.couplings, default=0.0) >= 0.0
 
     def has_nonneg_fields(self) -> bool:
-        return all(v >= 0.0 for v in self.fields)
+        return min(self.fields, default=0.0) >= 0.0
 
     @classmethod
     def from_json(cls, text: str) -> "ChainParams":
@@ -229,16 +229,19 @@ def _check_pair(
     return (i, j) if i < j else (j, i)
 
 
-def _low_spins(params: ChainParams) -> np.ndarray:
-    """Spin table of the low sites 0..L-1, L = min(_BLOCK_BITS, n_sites).
+@lru_cache(maxsize=None)
+def _low_spins(n_low: int) -> np.ndarray:
+    """Spin table of the low sites 0..n_low-1, n_low = min(_BLOCK_BITS, n_sites).
 
-    Row k carries spin -1 at site x when bit x of k is 1, +1 otherwise.
+    Row k carries spin -1 at site x when bit x of k is 1, +1 otherwise. It
+    depends only on n_low, so it is built once per width (at most _BLOCK_BITS
+    of them) and shared read-only.
     """
-    n_low = min(_BLOCK_BITS, params.n_sites)
     idx = np.arange(1 << n_low, dtype=np.uint32)
     spins = ((idx[:, None] >> np.arange(n_low, dtype=np.uint32)) & 1).astype(np.float64)
     spins *= -2.0
     spins += 1.0
+    spins.flags.writeable = False
     return spins
 
 
@@ -306,7 +309,7 @@ def _enumerate(params: ChainParams) -> Enumeration:
     sum_b (sum w_b) s_h(b) s_h'(b). The first and second moments of every
     site then follow from W, W_h and the spin table.
     """
-    low = _low_spins(params)
+    low = _low_spins(min(_BLOCK_BITS, params.n_sites))
     n, n_low = params.n_sites, low.shape[1]
     n_high = n - n_low
     w_low = np.zeros(len(low), dtype=np.float64)
@@ -360,7 +363,7 @@ def expectation_enum(params: ChainParams, sites: Sequence[int]) -> float:
     """<prod_{x in sites} sigma_x> by exact enumeration; empty sites give 1."""
     _require_enumerable(params)
     cols = sorted({_check_site(params, x) for x in sites})
-    low = _low_spins(params)
+    low = _low_spins(min(_BLOCK_BITS, params.n_sites))
     n_low = low.shape[1]
     low_prod = low[:, [x for x in cols if x < n_low]].prod(axis=1)
     high_cols = [x - n_low for x in cols if x >= n_low]
@@ -390,7 +393,7 @@ def window_marginal_enum(params: ChainParams, i: int, j: int) -> np.ndarray:
     j = _check_site(params, j, "j")
     if i > j:
         raise PreconditionError("window needs i <= j")
-    low = _low_spins(params)
+    low = _low_spins(min(_BLOCK_BITS, params.n_sites))
     n_low = low.shape[1]
     # Window sites below n_low index entries within a block; the rest give
     # each block one offset of whole multiples of the low part's span.

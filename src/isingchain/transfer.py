@@ -9,6 +9,19 @@ field: the field on x once every site left (right) of x is summed out. The
 sweep is built once per ChainParams and cached on it, so log Z, each site mean
 and each effective end field cost O(1) after it.
 
+A pass has two kernels, chosen by chain length. Below SCAN_MIN_SITES sites it
+is a scalar loop (_pass). From SCAN_MIN_SITES on it is a numpy prefix scan
+(_scan_pass): the message into site x + 1 is the message into x times the
+2x2 matrix A_x[s, t] = h_x s + J_x s t in the log semiring (log-sum-exp for
++, + for *). That product is associative, so every prefix comes out of an
+odd/even scan (Blelloch 1990). The scan runs over blocks of SCAN_BLOCK sites
+and carries each block's last prefix into the next, so its working memory is
+O(SCAN_BLOCK). Each partial product is kept with its largest entry
+subtracted plus a log scale, and the scales add in tree order. Per pass, on a
+2-core Xeon, loop and scan took 0.46 / 0.49 ms at 1000 sites, 0.95 / 0.60 ms
+at 2000, 1.94 / 0.86 ms at 4096 and 47 / 16.5 ms at 1e5. Both kernels sum
+their log-scale shifts into log Z with math.fsum.
+
 The site field f_x = left_field(x) + right_field(x) - h_x carries both
 messages, so <sigma_x> = tanh(f_x) and var(sigma_x) = sech^2(f_x).
 
@@ -38,9 +51,17 @@ import math
 from array import array
 from typing import Sequence
 
+import numpy as np
+
 from .chain import ChainParams, _check_pair, _check_site
 from .errors import DecayRateUndefinedError
 from .numeric import log_add_exp, log_cosh
+
+
+# The chain length from which ChainSweep runs the scan (module docstring), and
+# the scan's block length, which bounds its working memory.
+SCAN_MIN_SITES = 4096
+SCAN_BLOCK = 1 << 13
 
 
 def _pass(couplings: Sequence[float], fields: Sequence[float]) -> tuple[array, float]:
@@ -51,7 +72,8 @@ def _pass(couplings: Sequence[float], fields: Sequence[float]) -> tuple[array, f
     so its larger component is exactly 0, so the gap alone carries it.
     """
     gaps = array("d", [0.0])
-    scale = lp = lm = 0.0
+    shifts = []
+    lp = lm = 0.0
     for y, jy in enumerate(couplings):
         hy = fields[y]
         ap, am = lp + hy, lm - hy
@@ -59,10 +81,107 @@ def _pass(couplings: Sequence[float], fields: Sequence[float]) -> tuple[array, f
         lm = log_add_exp(ap - jy, am + jy)
         shift = lp if lp >= lm else lm
         lp, lm = lp - shift, lm - shift
-        scale += shift
+        shifts.append(shift)
         gaps.append(lp - lm)
     h_last = fields[-1]
-    return gaps, scale + log_add_exp(lp + h_last, lm - h_last)
+    shifts.append(log_add_exp(lp + h_last, lm - h_last))
+    return gaps, math.fsum(shifts)
+
+
+def _log_add(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """out = log(exp(a) + exp(b)) elementwise; out must hold zeros.
+
+    Overwrites a. Cheaper than np.logaddexp. exp is taken only where its
+    result is a normal float, because numpy's exp is slow where it
+    underflows; the terms left at 0 are below 1e-307.
+    """
+    top = np.maximum(a, b)
+    a -= b
+    np.abs(a, out=a)
+    np.negative(a, out=a)
+    np.exp(a, out=out, where=a > -708.0)
+    np.log1p(out, out=out)
+    out += top
+
+
+# A stack of 2x2 log-semiring matrices is a (5, n) array: the entries
+# [+,+], [+,-], [-,+], [-,-] and a log scale. A stack of rows is (3, n): the
+# entries [+], [-] and the scale. Every product is renormalized so that its
+# largest entry is 0, the rest going into the scale.
+
+
+def _renormalized(out: np.ndarray) -> np.ndarray:
+    top = out[:-1].max(axis=0)
+    out[:-1] -= top
+    out[-1] += top
+    return out
+
+
+def _matrix_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    xa, xb, xc, xd, xs = x
+    ya, yb, yc, yd, ys = y
+    out = np.zeros_like(x)
+    _log_add(xa + ya, xb + yc, out[0])
+    _log_add(xa + yb, xb + yd, out[1])
+    _log_add(xc + ya, xd + yc, out[2])
+    _log_add(xc + yb, xd + yd, out[3])
+    np.add(xs, ys, out=out[4])
+    return _renormalized(out)
+
+
+def _row_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    xp, xm, xs = x
+    ya, yb, yc, yd, ys = y
+    out = np.zeros((3, len(xs)))
+    _log_add(xp + ya, xm + yc, out[0])
+    _log_add(xp + yb, xm + yd, out[1])
+    np.add(xs, ys, out=out[2])
+    return _renormalized(out)
+
+
+def _prefix_rows(mats: np.ndarray) -> np.ndarray:
+    """Rows of the prefix products mats[0] ... mats[k], for every k.
+
+    mats[0] must have equal rows, so every prefix product does too. Odd/even
+    scan: the products of adjacent pairs are scanned recursively, which gives
+    every prefix ending at an odd index, and each later even index multiplies
+    the prefix before it by its own matrix. The scales add in tree order.
+    """
+    rows = mats[[0, 1, 4]]
+    n = rows.shape[1]
+    if n > 1:
+        odd = _prefix_rows(_matrix_product(mats[:, : n - 1 : 2], mats[:, 1::2]))
+        rows[:, 1::2] = odd
+        rows[:, 2::2] = _row_product(odd[:, : (n - 1) // 2], mats[:, 2::2])
+    return rows
+
+
+def _scan_pass(couplings: np.ndarray, fields: np.ndarray) -> tuple[array, float]:
+    """_pass as a blocked prefix scan (module docstring): same gaps and log Z
+    up to rounding."""
+    gaps = array("d", [0.0])
+    shifts = []
+    lp = lm = 0.0
+    for start in range(0, len(couplings), SCAN_BLOCK):
+        jb = couplings[start : start + SCAN_BLOCK]
+        hb = fields[start : start + len(jb)]
+        mats = np.zeros((5, len(jb)))
+        np.add(hb, jb, out=mats[0])
+        np.subtract(hb, jb, out=mats[1])
+        np.negative(mats[0], out=mats[2])
+        np.negative(mats[1], out=mats[3])
+        # The first matrix becomes the carried message times it, on both rows.
+        a, b, c, d, _ = mats[:, 0].tolist()
+        head_p, head_m = log_add_exp(lp + a, lm + c), log_add_exp(lp + b, lm + d)
+        top = max(head_p, head_m)
+        mats[:, 0] = (head_p - top, head_m - top, head_p - top, head_m - top, top)
+        lp_row, lm_row, scale = _prefix_rows(mats)
+        gaps.frombytes((lp_row - lm_row).tobytes())
+        lp, lm = float(lp_row[-1]), float(lm_row[-1])
+        shifts.append(float(scale[-1]))
+    h_last = float(fields[-1])
+    shifts.append(log_add_exp(lp + h_last, lm - h_last))
+    return gaps, math.fsum(shifts)
 
 
 class ChainSweep:
@@ -82,9 +201,15 @@ class ChainSweep:
     """
 
     def __init__(self, params: ChainParams) -> None:
-        self._fields = params.fields
-        self._fwd, self.log_z = _pass(params.couplings, params.fields)
-        self._bwd, _ = _pass(params.couplings[::-1], params.fields[::-1])
+        couplings, fields = params.couplings, params.fields
+        self._fields = fields
+        kernel = _pass
+        if len(fields) >= SCAN_MIN_SITES:
+            kernel = _scan_pass
+            couplings = np.fromiter(couplings, np.float64, len(couplings))
+            fields = np.fromiter(fields, np.float64, len(fields))
+        self._fwd, self.log_z = kernel(couplings, fields)
+        self._bwd, _ = kernel(couplings[::-1], fields[::-1])
         self._bwd.reverse()
 
     def left_field(self, x: int) -> float:

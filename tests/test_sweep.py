@@ -39,7 +39,14 @@ from isingchain import (
     truncate,
 )
 from isingchain.numeric import log_add_exp, log_cosh
-from isingchain.transfer import _adjacent_log_cov, log_abs_covariance
+from isingchain.transfer import (
+    SCAN_BLOCK,
+    SCAN_MIN_SITES,
+    _adjacent_log_cov,
+    _pass,
+    _scan_pass,
+    log_abs_covariance,
+)
 
 from conftest import end_field_tolerance, random_params
 
@@ -92,7 +99,7 @@ def _adjacent_term(params, k, fwd, bwd):
 
 
 def ref_log_partition_terms(params):
-    """The per-site log-scale shifts whose recursive sum is log Z."""
+    """The per-site log-scale shifts whose exact sum is log Z."""
     terms = []
     lp = lm = 0.0
     for y in range(params.n_edges):
@@ -110,10 +117,7 @@ def ref_log_partition_terms(params):
 
 
 def ref_log_partition(params):
-    total = 0.0
-    for term in ref_log_partition_terms(params):
-        total += term
-    return total
+    return math.fsum(ref_log_partition_terms(params))
 
 
 def ref_site_mean(params, x):
@@ -250,22 +254,20 @@ def assert_log_z_and_means_match_high_precision(params):
 
     Each of the N shifts that log Z sums is a log-sum-exp of parts up to
     about 2 max(|J|, |h|), rounded to a few ulp of that size, so their exact
-    sum is within 16 u N param_scale of log Z. The sweep adds them one by
-    one, which adds at most gamma_N sum |shift| (Higham 2002, Thm 4.4). A
-    mean is tanh of a site field of size up to about max(|J|, |h|) that
-    carries a few ulp of it, so it is gated at 16 u param_scale. Largest
-    errors seen on INSTANCES, the 3000-site chain and 150 further random
-    chains, in these units: 1.94 for the shifts' exact sum and 2.0 for the
-    means; log Z itself read 16.4 u N param_scale on the 3000-site chain,
-    all of it from the recursive sum.
+    sum is within 16 u N param_scale of log Z. The loop sums them with
+    math.fsum, so its log Z is that exact sum rounded once; the scan's
+    shifts add in tree order within a block, which adds far less than the
+    per-step allowance. A mean is tanh of a site field of size up to about
+    max(|J|, |h|) that carries a few ulp of it, so it is gated at
+    16 u param_scale. Largest errors seen on INSTANCES, the 3000-site chain
+    and 150 further random chains, in these units: 1.94 for the shifts'
+    exact sum and 2.0 for the means; on the two scan chains below, 1.09 for
+    log Z (one ulp of it) and 4.0 for the means.
     """
     log_z, means, _ = mp_transfer(params, MP_DIGITS)
     scale = param_scale(params)
-    shifts = ref_log_partition_terms(params)
     steps = 16.0 * UNIT_ROUNDOFF * params.n_sites * scale
-    assert abs(math.fsum(shifts) - log_z) <= steps
-    summation = gamma(len(shifts)) * math.fsum(map(abs, shifts))
-    assert abs(log_partition(params) - log_z) <= steps + summation
+    assert abs(log_partition(params) - log_z) <= steps
     for x, mean in enumerate(means):
         assert abs(site_mean(params, x) - mean) <= 16.0 * UNIT_ROUNDOFF * scale
 
@@ -440,6 +442,105 @@ def test_long_chain_covariance_matches_high_precision_transfer():
 def test_long_chain_log_z_and_means_match_high_precision_transfer():
     rng = np.random.default_rng(77)
     assert_log_z_and_means_match_high_precision(random_params(rng, 3000))
+
+
+def scan_chain():
+    """A chain on the scan kernel that spans three blocks."""
+    rng = np.random.default_rng(79)
+    return random_params(rng, 2 * SCAN_BLOCK + 3617)
+
+
+def extreme_scan_chain():
+    """A scan-kernel chain with |J|, |h| up to 1e3, zero couplings and
+    +-5e-324 entries."""
+    rng = np.random.default_rng(80)
+    n = SCAN_BLOCK + 808
+    couplings = rng.uniform(-1e3, 1e3, n - 1)
+    fields = rng.uniform(-1e3, 1e3, n)
+    sites = rng.permutation(n - 1)
+    couplings[sites[:20]] = 0.0
+    couplings[sites[20:30]] = 5e-324
+    couplings[sites[30:40]] = -5e-324
+    sites = rng.permutation(n)
+    fields[sites[:10]] = 5e-324
+    fields[sites[10:20]] = -5e-324
+    return ChainParams(tuple(couplings.tolist()), tuple(fields.tolist()))
+
+
+def test_scan_chain_matches_high_precision_transfer():
+    params = scan_chain()
+    assert params.n_sites >= SCAN_MIN_SITES
+    assert_log_z_and_means_match_high_precision(params)
+    # windows at either end, across both block boundaries and mid-block
+    pairs = [(0, 40), (8180, 8200), (16370, 16400), (18000, 18100), (19960, 20000)]
+    assert assert_covariances_match_high_precision(params, pairs) == len(pairs)
+
+
+def test_scan_chain_end_fields_match_repeated_removal():
+    # every site, so the sites just past each block boundary are covered in
+    # both directions
+    params = scan_chain()
+
+    def removal(couplings, fields):
+        h = fields[0]
+        out = [h]
+        for jy, hy in zip(couplings, fields[1:]):
+            h = hy + remove_end_site(jy, h).b_shift
+            out.append(h)
+        return out
+
+    left = removal(params.couplings, params.fields)
+    right = removal(params.couplings[::-1], params.fields[::-1])[::-1]
+    sweep = params.sweep
+    tol = end_field_tolerance(params)
+    for x in range(params.n_sites):
+        assert abs(sweep.left_field(x) - left[x]) <= tol
+        assert abs(sweep.right_field(x) - right[x]) <= tol
+    last = params.n_sites - 1
+    model = truncate(params, 0, last)
+    assert_end_fields_within_gate(params, model, ref_end_fields(params, 0, last))
+
+
+def test_extreme_scan_chain_matches_high_precision():
+    params = extreme_scan_chain()
+    assert_log_z_and_means_match_high_precision(params)
+    left, right = mp_end_fields(params)
+    sweep = params.sweep
+    tol = end_field_tolerance(params)
+    for x in range(params.n_sites):
+        assert abs(sweep.left_field(x) - left[x]) <= tol
+        assert abs(sweep.right_field(x) - right[x]) <= tol
+
+
+@pytest.mark.parametrize("n_sites", [SCAN_MIN_SITES - 1, SCAN_MIN_SITES])
+@pytest.mark.parametrize("scale", [1.0, 1e3])
+def test_kernels_agree_at_the_switch(n_sites, scale):
+    """The sweep takes the loop below SCAN_MIN_SITES sites and the scan from
+    there on; both give the same gaps to 2 end_field_tolerance (a gap is twice
+    an end field less h) and the same log Z to 16 u N param_scale."""
+    rng = np.random.default_rng(81)
+    params = random_params(rng, n_sites, -scale, scale, -scale, scale)
+    couplings, fields = params.couplings, params.fields
+    loop_gaps, loop_log_z = _pass(couplings, fields)
+    scan_gaps, scan_log_z = _scan_pass(np.array(couplings), np.array(fields))
+    kernel_log_z = scan_log_z if n_sites >= SCAN_MIN_SITES else loop_log_z
+    assert params.sweep.log_z == kernel_log_z
+    tol = 2.0 * end_field_tolerance(params)
+    assert len(loop_gaps) == len(scan_gaps) == n_sites
+    assert max(abs(a - b) for a, b in zip(loop_gaps, scan_gaps)) <= tol
+    steps = 16.0 * UNIT_ROUNDOFF * n_sites * param_scale(params)
+    assert abs(loop_log_z - scan_log_z) <= steps
+
+
+@pytest.mark.parametrize("n_sites", [3, SCAN_MIN_SITES])
+def test_end_fields_are_python_floats(n_sites):
+    # a numpy scalar would print as np.float64(...) in the CLI's CSV
+    params = random_params(np.random.default_rng(82), n_sites)
+    sweep = params.sweep
+    for x in (0, n_sites // 2, n_sites - 1):
+        assert type(sweep.left_field(x)) is float
+        assert type(sweep.right_field(x)) is float
+    assert type(sweep.log_z) is float
 
 
 def test_sweep_built_once_per_instance():

@@ -197,12 +197,19 @@ def _require_enumerable(params: ChainParams) -> None:
         )
 
 
-def _check_integer(x: int, name: str) -> int:
+def _check_integer(
+    x: int, name: str, low: int | None = None, high: int | None = None
+) -> int:
+    """x as an int in [low, high); a bound left as None is open."""
     # bool is an int subclass; a float or a bool would be truncated silently
     # by int(), so only Python and numpy integers pass.
     if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
         raise PreconditionError(f"{name} must be an integer, got {x!r}")
-    return int(x)
+    x = int(x)
+    if (low is not None and x < low) or (high is not None and x >= high):
+        span = f"at least {low}" if high is None else f"in [{low}, {high})"
+        raise PreconditionError(f"{name} must be {span}, got {x}")
+    return x
 
 
 def _check_site(params: ChainParams, x: int, name: str = "site") -> int:

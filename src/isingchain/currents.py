@@ -14,8 +14,15 @@ and 2 realize every class, see `endpoint_event_counterexamples`). They draw
 that class from one uniform per edge, all from one PCG64 stream per call,
 filled sample by sample, so every estimate is reproducible bit for bit from
 (parameters, seed, sample count) and does not depend on the chunk size.
-Exact counterparts (parity-vector enumeration, truncated-support signed
-sums) serve as oracles for them.
+
+The exact oracles cost O(N). The lattice boundary equals the ghost boundary
+iff the total ghost mass is even and every lattice edge x carries the parity
+of the ghost arrivals on sites 0..x, so the match probability is a 2-state
+transfer over that prefix parity: the weights of an even and of an odd
+prefix, renormalized at every site (the even one is never the smaller) with
+the log scales summed by math.fsum. At zero field the boundary alone forces
+every edge's parity, to that of the number of listed sites on its left, so
+the signed moment sum is a product of per-edge parity probabilities.
 """
 
 from __future__ import annotations
@@ -26,12 +33,10 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .chain import ChainParams, _check_pair, _check_site
+from .chain import ChainParams, _check_integer, _check_pair, _check_site
 from .errors import CapacityError, InconclusiveEstimateError, PreconditionError
+from .instances import SEED_LIMIT
 from .transfer import covariance
-
-# Exact parity enumeration walks 2^n_sites ghost parity vectors.
-PARITY_ENUM_CAP = 16
 
 # Samples per estimator chunk. A chunk is also capped at _CHUNK * 32 edge
 # draws (a 16 MiB buffer of uniforms), so long chains get shorter chunks.
@@ -66,26 +71,6 @@ def poisson_parity(rate: float) -> tuple[float, float, float]:
     return p_zero, p_even, p_odd
 
 
-def poisson_tail_cap(rate: float, eps: float = 1e-12) -> int:
-    """Smallest K with P(X > K) < eps for X ~ Poisson(rate)."""
-    rate = float(rate)
-    if not (math.isfinite(rate) and rate >= 0.0):
-        raise PreconditionError("Poisson rate must be finite and nonnegative")
-    if rate == 0.0:
-        return 0
-    k = 0
-    p = math.exp(-rate)
-    while True:
-        p_next = p * rate / (k + 1)
-        # geometric envelope: P(X > k) <= pmf(k+1) / (1 - rate/(k+2))
-        if k + 2 > rate and p_next / (1.0 - rate / (k + 2)) < eps:
-            return k
-        k += 1
-        p = p_next
-        if k > 10_000_000:
-            raise CapacityError("Poisson tail cap did not converge")
-
-
 def _edge_rates(params: ChainParams) -> tuple[np.ndarray, np.ndarray]:
     return (
         np.abs(np.asarray(params.couplings, dtype=np.float64)),
@@ -106,8 +91,8 @@ def _class_chunks(
     size. The classes are handed out edge axis first, so the estimators'
     per-site sums and tests run over long contiguous rows.
     """
-    if samples < 1:
-        raise PreconditionError("need at least one sample")
+    samples = _check_integer(samples, "samples", 1)
+    seed = _check_integer(seed, "seed", 0, SEED_LIMIT)
     lat_rates, gho_rates = _edge_rates(params)
     laws = [poisson_parity(r) for r in np.concatenate([lat_rates, gho_rates])]
     p_zero = np.array([law[0] for law in laws])
@@ -136,8 +121,8 @@ def sample_current_batch(
     first m rows do not depend on `count`. The matrices are transposed views
     of one edge-major buffer.
     """
-    if count < 1:
-        raise PreconditionError("need at least one sample")
+    count = _check_integer(count, "count", 1)
+    seed = _check_integer(seed, "seed", 0, SEED_LIMIT)
     rates = np.concatenate(_edge_rates(params))
     seqs = np.random.SeedSequence(seed).spawn(len(rates))
     arrivals = np.empty((len(rates), count), dtype=np.int64)
@@ -322,35 +307,38 @@ def mc_switching_covariance(
     return McEstimate(mean=ratio, std_error=math.sqrt(max(var_ratio, 0.0)), samples=n)
 
 
-def _require_parity_enumerable(params: ChainParams) -> None:
-    if params.n_sites > PARITY_ENUM_CAP:
-        raise CapacityError(
-            f"parity enumeration over {params.n_sites} sites exceeds the cap of "
-            f"{PARITY_ENUM_CAP}"
-        )
+def _log_match_probability(params: ChainParams) -> float:
+    """log P(lattice boundary == ghost boundary), by the parity transfer.
+
+    After site x the state is the parity of the ghost arrivals on sites
+    0..x, edge x is forced to carry it, and the match needs it even at the
+    last site. The pair of weights is renormalized so that the even one is
+    1; `odd` keeps their ratio, which stays in [0, 1].
+    """
+    odd = 0.0
+    scales = []
+    for x, hx in enumerate(params.fields):
+        _, pe, po = poisson_parity(abs(hx))
+        even, odd = pe + odd * po, po + odd * pe
+        if x < params.n_edges:
+            _, pe_j, po_j = poisson_parity(abs(params.couplings[x]))
+            even, odd = even * pe_j, odd * po_j
+        scales.append(math.log(even))
+        odd /= even
+    return math.fsum(scales)
 
 
 def boundary_match_probability(params: ChainParams) -> float:
     """P(boundary of the lattice part == boundary of the ghost part), exact.
 
-    Enumerates all 2^n_sites ghost parity vectors; vectors of odd total never
-    match. For an even vector the lattice parity on edge x is forced to the
-    prefix parity up to site x, and edges are independent, so each vector
-    contributes a product of per-edge parity probabilities.
+    The parity transfer of the module docstring, O(n_sites).
     """
-    _require_parity_enumerable(params)
-    lat_rates, gho_rates = _edge_rates(params)
-    n = params.n_sites
-    bits = _mixed_radix_rows(2, n)
-    even_total = bits.sum(axis=1) % 2 == 0
-    pe_h = np.array([poisson_parity(r)[1] for r in gho_rates])
-    po_h = np.array([poisson_parity(r)[2] for r in gho_rates])
-    ghost_prob = np.where(bits == 1, po_h, pe_h).prod(axis=1)
-    prefix = np.cumsum(bits, axis=1)[:, : n - 1] % 2
-    pe_j = np.array([poisson_parity(r)[1] for r in lat_rates])
-    po_j = np.array([poisson_parity(r)[2] for r in lat_rates])
-    lat_prob = np.where(prefix == 1, po_j, pe_j).prod(axis=1)
-    return float((ghost_prob * lat_prob)[even_total].sum())
+    return math.exp(_log_match_probability(params))
+
+
+def _log_even_lattice(params: ChainParams) -> float:
+    """log P(every lattice edge carries an even count)."""
+    return math.fsum(math.log(poisson_parity(j)[1]) for j in params.couplings)
 
 
 def cov_identity_check(params: ChainParams) -> tuple[float, float]:
@@ -359,19 +347,19 @@ def cov_identity_check(params: ChainParams) -> tuple[float, float]:
     lhs is the solver covariance of the end pair; rhs rebuilds it from parity
     probabilities: prod tanh(J) times the squared ratio of P(all lattice
     edges even) * P(no ghost arrivals) to the boundary match probability.
+    The factors are combined in logs, so the check runs at any length.
     """
-    _require_parity_enumerable(params)
     if params.n_sites < 2:
         raise PreconditionError("the identity needs at least two sites")
     if not (params.is_ferromagnetic() and params.has_nonneg_fields()):
         raise PreconditionError("the identity needs J >= 0 and h >= 0")
     lhs = covariance(params, 0, params.n_sites - 1)
-    tanh_prod = math.prod(math.tanh(j) for j in params.couplings)
-    pe_lat = math.prod(poisson_parity(j)[1] for j in params.couplings)
-    p_ghost_zero = math.exp(-math.fsum(params.fields))
-    match = boundary_match_probability(params)
-    rhs = tanh_prod * (pe_lat * p_ghost_zero / match) ** 2
-    return lhs, rhs
+    if 0.0 in params.couplings:
+        return lhs, 0.0
+    log_tanh = math.fsum(math.log(math.tanh(j)) for j in params.couplings)
+    log_ratio = _log_even_lattice(params) - math.fsum(params.fields)
+    log_ratio -= _log_match_probability(params)
+    return lhs, math.exp(log_tanh + 2.0 * log_ratio)
 
 
 def conditional_bound_check(params: ChainParams) -> tuple[float, float]:
@@ -379,32 +367,31 @@ def conditional_bound_check(params: ChainParams) -> tuple[float, float]:
 
     The ratio is P(lattice boundary == ghost boundary | total ghost mass even)
     over P(every lattice edge even); the lower bound is the product over edges
-    of (1 + tanh J)/2.
+    of (1 + tanh J)/2. The ratio is formed in logs.
     """
-    _require_parity_enumerable(params)
     if not (params.is_ferromagnetic() and params.has_nonneg_fields()):
         raise PreconditionError("the conditional bound needs J >= 0 and h >= 0")
-    match = boundary_match_probability(params)
-    p_even_total = poisson_parity(math.fsum(abs(v) for v in params.fields))[1]
-    pe_lat = math.prod(poisson_parity(j)[1] for j in params.couplings)
-    ratio = match / p_even_total / pe_lat
+    log_even_total = math.log(poisson_parity(math.fsum(params.fields))[1])
+    log_ratio = _log_match_probability(params) - _log_even_lattice(params)
+    ratio = math.exp(log_ratio - log_even_total)
     lower = math.prod(0.5 * (1.0 + math.tanh(j)) for j in params.couplings)
     return ratio, lower
 
 
-def _mixed_radix_rows(
-    radix: int | Sequence[int], width: int, budget: int = 1 << 23
-) -> np.ndarray:
-    """Every digit vector of length `width`, one per row, digit 0 varying fastest.
+# Rows of the largest grid an exhaustive check may build.
+_GRID_BUDGET = 1 << 23
 
-    Digit e runs over range(radix[e]); an int radix serves every digit.
+
+def _mixed_radix_rows(radix: int, width: int) -> np.ndarray:
+    """Every digit vector over range(radix) of length `width`, one per row,
+    digit 0 varying fastest. Needs radix >= 2.
     """
-    radices = np.broadcast_to(np.asarray(radix, dtype=np.int64), (width,))
-    total = math.prod(radices.tolist())
-    if total > budget:
-        raise CapacityError(f"{total} rows exceed the exhaustive-check budget")
-    strides = np.cumprod(np.concatenate(([1], radices)))[:-1]
-    return np.arange(total, dtype=np.int64)[:, None] // strides % radices
+    # radix >= 2, so a width past the budget's bit length is over budget and
+    # radix**width is never formed for it.
+    if width >= _GRID_BUDGET.bit_length() or radix**width > _GRID_BUDGET:
+        raise CapacityError(f"{radix}^{width} rows exceed the exhaustive-check budget")
+    strides = radix ** np.arange(width, dtype=np.int64)
+    return np.arange(radix**width, dtype=np.int64)[:, None] // strides % radix
 
 
 def boundary_split_counterexamples(n_sites: int, max_entry: int = 3) -> int:
@@ -413,8 +400,8 @@ def boundary_split_counterexamples(n_sites: int, max_entry: int = 3) -> int:
     own arrival parity. Runs over ALL currents with entries <= max_entry;
     returns the number of disagreeing currents.
     """
-    if n_sites < 2:
-        raise PreconditionError("need at least one lattice edge")
+    n_sites = _check_integer(n_sites, "n_sites", 2)
+    max_entry = _check_integer(max_entry, "max_entry", 1)
     n_edges = n_sites - 1
     digits = _mixed_radix_rows(max_entry + 1, n_edges + n_sites).T
     lat, gho = digits[:n_edges], digits[n_edges:]
@@ -442,10 +429,9 @@ def endpoint_event_counterexamples(n_sites: int, max_entry: int = 3) -> int:
     through the estimator's own event code.
     Returns the number of disagreeing pairs.
     """
-    if n_sites < 2:
-        raise PreconditionError("need at least one lattice edge")
-    if max_entry < 2:
-        raise PreconditionError("entries <= 1 cannot realize an even positive count")
+    n_sites = _check_integer(n_sites, "n_sites", 2)
+    # entries <= 1 cannot realize an even positive count
+    _check_integer(max_entry, "max_entry", 2)
     n_edges = n_sites - 1
     width = n_edges + n_sites
     reps = np.array([0, 2, 1], dtype=np.int8)
@@ -474,31 +460,25 @@ def endpoint_event_counterexamples(n_sites: int, max_entry: int = 3) -> int:
     return bad
 
 
-def signed_moment_sum(
-    params: ChainParams, sites: Sequence[int], tail_eps: float = 1e-12
-) -> float:
-    """Truncated exact value of the sign-weighted current sum for zero field.
+def signed_moment_sum(params: ChainParams, sites: Sequence[int]) -> float:
+    """Exact value of the sign-weighted current sum for zero field.
 
     Sums P(n) * (-1)^(arrivals on negative edges) over all lattice currents
-    with the boundary equal to `sites`, each edge truncated at its Poisson
-    tail cap. Equals Z / (2^n_sites * exp(sum |J|)) times the moment
-    <prod_{x in sites} sigma_x>.
+    with the boundary equal to `sites`. Equals Z / (2^n_sites * exp(sum |J|))
+    times the moment <prod_{x in sites} sigma_x>. The boundary forces edge x
+    to the parity of the number of listed sites in 0..x, so the sum is 0.0
+    for an odd site set and otherwise a product over edges of P(even) or of
+    P(odd), the latter negated where J_x < 0.
     """
     if any(v != 0.0 for v in params.fields):
-        raise PreconditionError("the truncated exact sum is implemented for zero field")
-    cols = sorted({_check_site(params, x) for x in sites})
-    widths = [poisson_tail_cap(abs(j), tail_eps) + 1 for j in params.couplings]
-    lat = _mixed_radix_rows(widths, params.n_edges, budget=1 << 22)
-    log_pmf = np.zeros(len(lat), dtype=np.float64)
-    for e, jx in enumerate(params.couplings):
-        lam = abs(jx)
-        k = lat[:, e]
-        if lam == 0.0:
-            continue
-        log_pmf += -lam + k * math.log(lam) - np.array(
-            [math.lgamma(v + 1.0) for v in range(widths[e])]
-        )[k]
-    prob = np.exp(log_pmf)
-    sign = _signs(lat.T, _negative_mask(params)[: params.n_edges])
-    parity = _boundary_parity(lat.T, np.zeros((params.n_sites, len(lat)), np.int64))
-    return float((prob * sign * _boundary_is(parity, cols)).sum())
+        raise PreconditionError("the signed moment sum is implemented for zero field")
+    cols = {_check_site(params, x) for x in sites}
+    if len(cols) % 2:
+        return 0.0
+    total = 1.0
+    odd = False
+    for x, jx in enumerate(params.couplings):
+        odd ^= x in cols
+        _, pe, po = poisson_parity(abs(jx))
+        total *= (-po if jx < 0.0 else po) if odd else pe
+    return total

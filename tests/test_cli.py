@@ -292,6 +292,21 @@ class TestBounds:
     def test_requires_pair(self, capsys, ferro):
         assert run(capsys, "bounds", "--instance", ferro)[0] == 2
 
+    def test_no_false_lemma3_flag_on_edge_value_chain(self, capsys, tmp_path):
+        # lemma3 equals |cov| here (a 60-digit enumeration puts the true
+        # relative slack at 7e-26). With the log Z shifts summed one by one,
+        # rounding put slack_lemma3 at -1.0e-12 and the command exited 4;
+        # with math.fsum it reads +8.9e-14.
+        inst = write_json(tmp_path, "edge.json", {
+            "J": [1e-300, 177.5, -1e-08, -1000.0, -1.0, 0.5, 177.5],
+            "h": [354.0, 177.5, -1e-300, 20.0, 20.0, 1.0, -1.0, -1000.0],
+        })
+        code, out, err = run(capsys, "bounds", "--instance", inst, "--i", "4", "--j", "5")
+        assert code == 0 and "violation" not in err
+        header, rows = csv_rows(out)
+        row = dict(zip(header, rows[0]))
+        assert float(row["slack_lemma3"]) >= 0.0
+
 
 class TestSweep:
     def test_deterministic_and_clean(self, capsys, tmp_path):

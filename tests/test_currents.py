@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,13 +20,70 @@ from isingchain import (
     endpoint_event_counterexamples,
     expectation_enum,
     log_partition,
+    mc_moment,
+    mc_switching_covariance,
     poisson_parity,
     sample_current_batch,
     signed_moment_sum,
 )
-from isingchain.currents import _CHUNK, poisson_tail_cap
+from isingchain.currents import _CHUNK
+from test_acceptance import _criterion_07_instances
 
 rates = st.floats(0.0, 50.0, allow_nan=False)
+
+
+def enum_match_probability(params):
+    """P(lattice boundary == ghost boundary) by the 2^N ghost-parity sum.
+
+    The reference for the parity transfer, up to 16 sites. A vector of ghost
+    parities with an even total forces every lattice edge x to the parity of
+    the bits on sites 0..x; edges are independent, so each vector adds a
+    product of per-edge parity probabilities.
+    """
+    n = params.n_sites
+    assert n <= 16
+    bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+    laws = [poisson_parity(abs(v)) for v in params.fields + params.couplings]
+    p_even = np.array([law[1] for law in laws])
+    p_odd = np.array([law[2] for law in laws])
+    prefix = np.cumsum(bits, axis=1) % 2
+    parities = np.concatenate([bits, prefix[:, : n - 1]], axis=1)
+    terms = np.where(parities == 1, p_odd, p_even).prod(axis=1)
+    return math.fsum(terms[prefix[:, -1] == 0])
+
+
+# Edge values of |J| and |h|, from the smallest subnormal to the largest
+# supported rate; each is drawn with either sign.
+EDGE_VALUES = (0.0, 5e-324, 1e-300, 1e-100, 1e-16, 1e-8, 1e-3, 0.5, 1.0, 20.0,
+               177.5, 354.0, 1e3)
+
+
+def edge_value_chain(rng, n):
+    def draw(k):
+        values = rng.choice(EDGE_VALUES, k) * rng.choice((-1.0, 1.0), k)
+        return tuple(values.tolist())
+
+    return ChainParams(draw(n - 1), draw(n))
+
+
+def mp_p_even(rate):
+    return (1 + mpmath.exp(-2 * mpmath.mpf(abs(rate)))) / 2
+
+
+def mp_p_odd(rate):
+    return (1 - mpmath.exp(-2 * mpmath.mpf(abs(rate)))) / 2
+
+
+def mp_match_probability(params):
+    """The parity transfer unrenormalized, at the caller's mpmath precision."""
+    even, odd = mpmath.mpf(1), mpmath.mpf(0)
+    for x, hx in enumerate(params.fields):
+        pe, po = mp_p_even(hx), mp_p_odd(hx)
+        even, odd = even * pe + odd * po, even * po + odd * pe
+        if x < params.n_edges:
+            jx = params.couplings[x]
+            even, odd = even * mp_p_even(jx), odd * mp_p_odd(jx)
+    return even
 
 
 class TestPoissonParity:
@@ -54,28 +112,6 @@ class TestPoissonParity:
             poisson_parity(-0.1)
         with pytest.raises(PreconditionError):
             poisson_parity(math.inf)
-
-
-class TestPoissonTailCap:
-    @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0, 3.0, 10.0])
-    def test_tail_below_eps(self, lam):
-        eps = 1e-12
-        cap = poisson_tail_cap(lam, eps)
-        # direct tail sum over a generous horizon
-        horizon = cap + 200
-        pmf = math.exp(-lam)
-        cdf = pmf
-        for k in range(1, horizon):
-            pmf *= lam / k
-            if k <= cap:
-                cdf += pmf
-        assert 1.0 - cdf < eps
-
-    def test_zero_rate(self):
-        assert poisson_tail_cap(0.0) == 0
-
-    def test_larger_eps_smaller_cap(self):
-        assert poisson_tail_cap(3.0, 1e-6) <= poisson_tail_cap(3.0, 1e-12)
 
 
 class TestSampling:
@@ -173,11 +209,26 @@ class TestBoundaryMatchProbability:
         stderr = math.sqrt(exact * (1 - exact) / n)
         assert abs(frac - exact) <= 4 * stderr
 
-    def test_cap(self):
+    def test_matches_enumeration_on_criteria_7_8_instances(self):
+        for p in _criterion_07_instances():
+            assert boundary_match_probability(p) == pytest.approx(
+                enum_match_probability(p), rel=1e-14, abs=0.0
+            )
+
+    def test_matches_enumeration_on_edge_values(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            p = edge_value_chain(rng, int(rng.integers(1, 17)))
+            assert boundary_match_probability(p) == pytest.approx(
+                enum_match_probability(p), rel=1e-14, abs=0.0
+            )
+
+    def test_past_sixteen_sites(self):
         n = 17
         p = ChainParams((1.0,) * (n - 1), (0.1,) * n)
-        with pytest.raises(CapacityError):
-            boundary_match_probability(p)
+        with mpmath.workdps(50):
+            expect = float(mp_match_probability(p))
+        assert boundary_match_probability(p) == pytest.approx(expect, rel=1e-14)
 
 
 class TestCovIdentity:
@@ -192,6 +243,11 @@ class TestCovIdentity:
         lhs, rhs = cov_identity_check(p)
         assert lhs == pytest.approx(math.tanh(1.0) * math.tanh(0.5), rel=1e-13)
         assert rhs == pytest.approx(lhs, rel=1e-12)
+
+    def test_zero_coupling_gives_zero(self):
+        p = ChainParams((1.0, 0.0, 0.5), (0.3, 0.2, 0.1, 0.4))
+        lhs, rhs = cov_identity_check(p)
+        assert rhs == 0.0 and lhs == 0.0
 
     def test_preconditions(self):
         with pytest.raises(PreconditionError):
@@ -216,6 +272,21 @@ class TestConditionalBound:
             )
             ratio, lower = conditional_bound_check(p)
             assert ratio >= lower - 1e-12
+
+    def test_long_chain_matches_high_precision_transfer(self):
+        # A plain product of per-site weights underflows here: the match
+        # probability is about 1e-400.
+        rng = np.random.default_rng(1200)
+        p = ChainParams(
+            tuple(rng.uniform(2.0, 3.0, 1199).tolist()),
+            tuple(rng.uniform(1.0, 2.0, 1200).tolist()),
+        )
+        ratio, lower = conditional_bound_check(p)
+        assert ratio >= lower
+        with mpmath.workdps(50):
+            expect = mp_match_probability(p) / mp_p_even(mpmath.fsum(p.fields))
+            expect /= mpmath.fprod(mp_p_even(j) for j in p.couplings)
+        assert ratio == pytest.approx(float(expect), rel=1e-12)
 
     def test_lower_bound_formula(self):
         p = ChainParams((1.0, 0.5), (0.3, 0.2, 0.1))
@@ -244,6 +315,28 @@ class TestExhaustiveCheckers:
             boundary_split_counterexamples(10, max_entry=9)
 
 
+class TestLongChains:
+    @pytest.fixture(scope="class")
+    def chain(self):
+        rng = np.random.default_rng(20000)
+        return ChainParams(
+            tuple(rng.uniform(3.0, 5.0, 19999).tolist()),
+            tuple(rng.uniform(0.0, 1e-4, 20000).tolist()),
+        )
+
+    def test_conditional_bound_at_20000_sites(self, chain):
+        ratio, lower = conditional_bound_check(chain)
+        assert math.isfinite(ratio) and math.isfinite(lower)
+        assert ratio >= lower - 1e-12
+
+    def test_cov_identity_at_20000_sites(self, chain):
+        lhs, rhs = cov_identity_check(chain)
+        assert math.isfinite(lhs) and math.isfinite(rhs)
+        # about 2e-11 here, far above underflow; the two sides agree to 2e-12
+        assert lhs > 1e-20
+        assert rhs == pytest.approx(lhs, rel=1e-9)
+
+
 class TestSignedMomentSum:
     @staticmethod
     def scaled_moment(params, sites):
@@ -258,15 +351,30 @@ class TestSignedMomentSum:
         p = ChainParams((1.2, 0.8, 0.5), (0.0,) * 4)
         for sites in [(), (0, 3), (1, 2), (0, 1, 2, 3)]:
             assert signed_moment_sum(p, sites) == pytest.approx(
-                self.scaled_moment(p, sites), abs=1e-10
+                self.scaled_moment(p, sites), rel=1e-12
             )
+        for sites in [(0,), (1, 2, 3), (0, 1, 3)]:
+            assert signed_moment_sum(p, sites) == 0.0
 
     def test_signed_couplings(self):
         p = ChainParams((-1.2, 0.8), (0.0,) * 3)
         assert signed_moment_sum(p, (0, 2)) == pytest.approx(
-            self.scaled_moment(p, (0, 2)), abs=1e-10
+            self.scaled_moment(p, (0, 2)), rel=1e-12
         )
         assert signed_moment_sum(p, (0, 2)) < 0.0
+
+    def test_random_signed_chains(self):
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            n = int(rng.integers(2, 11))
+            p = ChainParams(tuple(rng.uniform(-3.0, 3.0, n - 1).tolist()), (0.0,) * n)
+            sites = tuple(np.flatnonzero(rng.integers(0, 2, n)).tolist())
+            if len(sites) % 2:
+                assert signed_moment_sum(p, sites) == 0.0
+            else:
+                assert signed_moment_sum(p, sites) == pytest.approx(
+                    self.scaled_moment(p, sites), rel=1e-12
+                )
 
     def test_odd_sets_vanish(self):
         p = ChainParams((1.0, 0.5), (0.0,) * 3)
@@ -275,6 +383,30 @@ class TestSignedMomentSum:
     def test_requires_zero_field(self):
         with pytest.raises(PreconditionError):
             signed_moment_sum(ChainParams((1.0,), (0.1, 0.0)), (0, 1))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: mc_moment(p, (0, 1), samples=10.5, seed=1),
+        lambda p: mc_moment(p, (0, 1), samples=0, seed=1),
+        lambda p: mc_moment(p, (0, 1), samples=10, seed=1.5),
+        lambda p: mc_moment(p, (0, 1), samples=10, seed=-1),
+        lambda p: mc_moment(p, (0, 1), samples=10, seed=2**63),
+        lambda p: mc_switching_covariance(p, 0, 1, True, 1),
+        lambda p: mc_switching_covariance(p, 0, 1, 10, True),
+        lambda p: sample_current_batch(p, seed=-1, count=4),
+        lambda p: sample_current_batch(p, seed=1, count=4.0),
+        lambda p: boundary_split_counterexamples(3, max_entry=-2),
+        lambda p: boundary_split_counterexamples(3, max_entry=0),
+        lambda p: boundary_split_counterexamples(3.0),
+        lambda p: endpoint_event_counterexamples(3, max_entry=2.5),
+        lambda p: endpoint_event_counterexamples(True),
+    ],
+)
+def test_integer_arguments_checked(call):
+    with pytest.raises(PreconditionError):
+        call(ChainParams((1.0,), (0.2, 0.1)))
 
 
 class TestSwitchEstimatorAgainstSolver:

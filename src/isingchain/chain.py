@@ -42,6 +42,8 @@ ENUMERATION_CAP = 24
 PARAM_LIMIT = 1e3
 
 _BLOCK_BITS = 16
+# Rows of the spin table per second-moment product in _enumerate.
+_MOMENT_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -263,7 +265,10 @@ def _weighted_blocks(
     spin table ``low`` gives sites 0..L-1, so blocks run in index order and
     the summation order never depends on the caller. A block's energies are
     the low-chain energy table, in its version for the spin on site L (which
-    the link coupling J[L-1] sees), plus the high chain's energy.
+    the link coupling J[L-1] sees), plus the high chain's energy. The table's
+    bond term is one product of the spin table with J, read at the Gray codes
+    k ^ (k >> 1): bit x of that code is bit x XOR bit x+1 of k, so its row of
+    the spin table holds the bond signs of configuration k.
 
     shift is the largest -energy seen so far, so no weight overflows however
     large |J| and |h| are. When a block raises it, sums carried over from the
@@ -274,7 +279,9 @@ def _weighted_blocks(
     n, n_low = params.n_sites, low.shape[1]
     j_arr = np.asarray(params.couplings, dtype=np.float64)
     h_arr = np.asarray(params.fields, dtype=np.float64)
-    table = -(low[:, :-1] * low[:, 1:]) @ j_arr[: n_low - 1] - low @ h_arr[:n_low]
+    k = np.arange(len(low), dtype=np.uint32)
+    bonds = (low[:, :-1] @ j_arr[: n_low - 1])[k ^ (k >> 1)]
+    table = -bonds - low @ h_arr[:n_low]
     if n_low == n:
         tables = (table,)
     else:
@@ -314,7 +321,10 @@ def _enumerate(params: ChainParams) -> Enumeration:
     Across blocks it keeps the low-index weight vectors W = sum_b w_b and,
     per high site h, W_h = sum_b s_h(b) w_b, plus the scalars
     sum_b (sum w_b) s_h(b) s_h'(b). The first and second moments of every
-    site then follow from W, W_h and the spin table.
+    site then follow from W, W_h and the spin table s: the low x low block
+    is sum_k W_k s(k) s(k)^T, one product per _MOMENT_ROWS rows of s so the
+    weighted copy stays at 0.5 MiB, and the high x low block is the rows
+    W_h times s in one product.
     """
     low = _low_spins(min(_BLOCK_BITS, params.n_sites))
     n, n_low = params.n_sites, low.shape[1]
@@ -337,12 +347,11 @@ def _enumerate(params: ChainParams) -> Enumeration:
         zz_high += float(w.sum()) * np.outer(high, high)
     z = float(w_low.sum())
     first = np.concatenate((w_low @ low, w_high.sum(axis=1)))
-    # Row x against the spin table: v_x = W s_x for a low site, W_h for a
-    # high one. One vector-matrix product per row keeps temporaries at 2^L.
-    second = np.empty((n, n), dtype=np.float64)
-    for x in range(n):
-        v = w_low * low[:, x] if x < n_low else w_high[x - n_low]
-        second[x, :n_low] = v @ low
+    second = np.zeros((n, n), dtype=np.float64)
+    for start in range(0, len(low), _MOMENT_ROWS):
+        rows = slice(start, start + _MOMENT_ROWS)
+        second[:n_low, :n_low] += (low[rows].T * w_low[rows]) @ low[rows]
+    second[n_low:, :n_low] = w_high @ low
     second[:n_low, n_low:] = second[n_low:, :n_low].T
     second[n_low:, n_low:] = zz_high
     means = first / z

@@ -41,7 +41,7 @@ from .bounds import (
     decay_rates,
     format_cell,
 )
-from .chain import ENUMERATION_CAP, ChainParams, enum_summary
+from .chain import ENUMERATION_CAP, ChainParams, _check_integer, enum_summary
 from .errors import ChainError, OracleMismatchError, ParseError, PreconditionError
 from .instances import SEED_LIMIT, InstanceSpec, generate_instance, instance_seeds
 from .currents import mc_switching_covariance
@@ -301,12 +301,11 @@ def cmd_decay(args: argparse.Namespace) -> int:
 def _seed_arg(text: str) -> int:
     """argparse type of --seed: an integer in [0, 2**63)."""
     try:
-        seed = int(text)
+        return _check_integer(int(text), "seed", 0, SEED_LIMIT)
+    except PreconditionError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid seed {text!r}") from None
-    if not 0 <= seed < SEED_LIMIT:
-        raise argparse.ArgumentTypeError(f"seed {seed} outside [0, 2**63)")
-    return seed
 
 
 # Flags that several subcommands take, each declared once. _add_common adds

@@ -363,19 +363,22 @@ def cov_identity_check(params: ChainParams) -> tuple[float, float]:
 
 
 def conditional_bound_check(params: ChainParams) -> tuple[float, float]:
-    """(conditional match ratio, its certified lower bound).
+    """(log of the conditional match ratio, log of its certified lower bound).
 
     The ratio is P(lattice boundary == ghost boundary | total ghost mass even)
     over P(every lattice edge even); the lower bound is the product over edges
-    of (1 + tanh J)/2. The ratio is formed in logs.
+    of (1 + tanh J)/2. Both are returned as logs: on long chains the two
+    values underflow, at different lengths, long before their logs lose
+    precision.
     """
     if not (params.is_ferromagnetic() and params.has_nonneg_fields()):
         raise PreconditionError("the conditional bound needs J >= 0 and h >= 0")
     log_even_total = math.log(poisson_parity(math.fsum(params.fields))[1])
     log_ratio = _log_match_probability(params) - _log_even_lattice(params)
-    ratio = math.exp(log_ratio - log_even_total)
-    lower = math.prod(0.5 * (1.0 + math.tanh(j)) for j in params.couplings)
-    return ratio, lower
+    log_lower = math.fsum(
+        math.log1p(math.tanh(j)) - math.log(2.0) for j in params.couplings
+    )
+    return log_ratio - log_even_total, log_lower
 
 
 # Rows of the largest grid an exhaustive check may build.

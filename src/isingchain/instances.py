@@ -111,9 +111,8 @@ class InstanceSpec:
         if self.n_sites < 1:
             raise PreconditionError("need at least one site")
         if self.seed is not None:
-            object.__setattr__(self, "seed", _check_integer(self.seed, "seed"))
-            if not 0 <= self.seed < SEED_LIMIT:
-                raise PreconditionError(f"seed {self.seed} outside [0, 2**63)")
+            seed = _check_integer(self.seed, "seed", 0, SEED_LIMIT)
+            object.__setattr__(self, "seed", seed)
         _flip_probs({"J": self.coupling_flip_prob, "h": self.field_flip_prob})
 
     @staticmethod

@@ -323,6 +323,10 @@ class TestEnumerationOracle:
         p = ChainParams((0.0,) * (n - 1), (0.0,) * n)
         with pytest.raises(CapacityError):
             partition_function_enum(p)
+        with pytest.raises(CapacityError):
+            p.enumeration
+        with pytest.raises(CapacityError):
+            enum_summary(p)
 
     def test_window_marginal_bit_convention(self):
         # bit 0 of the window index set <=> spin at the window start is -1

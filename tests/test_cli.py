@@ -588,6 +588,13 @@ class TestCost:
 
 
 class TestInputValidation:
+    def test_seed_flag_message_is_the_shared_range_check(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["decay", "--n-sites", "3", "--seed", "-3"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument --seed: seed must be in [0, {2**63}), got -3" in err
+
     @pytest.mark.parametrize("seed", ["-3", str(2**63), "abc"])
     @pytest.mark.parametrize(
         "command",

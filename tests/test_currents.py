@@ -260,7 +260,7 @@ class TestCovIdentity:
 
 class TestConditionalBound:
     def test_single_site_equality(self):
-        assert conditional_bound_check(ChainParams((), (0.8,))) == (1.0, 1.0)
+        assert conditional_bound_check(ChainParams((), (0.8,))) == (0.0, 0.0)
 
     def test_holds_on_random_instances(self):
         rng = np.random.default_rng(89)
@@ -270,8 +270,8 @@ class TestConditionalBound:
                 tuple(rng.uniform(0, 3, n - 1).tolist()),
                 tuple(rng.uniform(0, 2, n).tolist()),
             )
-            ratio, lower = conditional_bound_check(p)
-            assert ratio >= lower - 1e-12
+            log_ratio, log_lower = conditional_bound_check(p)
+            assert log_ratio >= log_lower - 1e-12
 
     def test_long_chain_matches_high_precision_transfer(self):
         # A plain product of per-site weights underflows here: the match
@@ -281,18 +281,30 @@ class TestConditionalBound:
             tuple(rng.uniform(2.0, 3.0, 1199).tolist()),
             tuple(rng.uniform(1.0, 2.0, 1200).tolist()),
         )
-        ratio, lower = conditional_bound_check(p)
-        assert ratio >= lower
+        log_ratio, log_lower = conditional_bound_check(p)
+        assert log_ratio >= log_lower
         with mpmath.workdps(50):
             expect = mp_match_probability(p) / mp_p_even(mpmath.fsum(p.fields))
             expect /= mpmath.fprod(mp_p_even(j) for j in p.couplings)
-        assert ratio == pytest.approx(float(expect), rel=1e-12)
+            log_expect = float(mpmath.log(expect))
+        assert log_ratio == pytest.approx(log_expect, rel=0.0, abs=1e-12)
 
     def test_lower_bound_formula(self):
         p = ChainParams((1.0, 0.5), (0.3, 0.2, 0.1))
-        _, lower = conditional_bound_check(p)
-        expect = 0.25 * (1 + math.tanh(1.0)) * (1 + math.tanh(0.5))
-        assert lower == pytest.approx(expect, rel=1e-14)
+        _, log_lower = conditional_bound_check(p)
+        expect = math.log(0.25 * (1 + math.tanh(1.0)) * (1 + math.tanh(0.5)))
+        assert log_lower == pytest.approx(expect, rel=0.0, abs=1e-14)
+
+    def test_holds_in_logs_where_the_values_underflow(self):
+        # Both values underflow here: in floats the ratio reads 0.0 against a
+        # lower bound of 5e-324. In logs the bound holds by about 80.8.
+        rng = np.random.default_rng(1)
+        couplings = tuple(rng.uniform(0.5, 3.0, 19999).tolist())
+        p = ChainParams(couplings, tuple(rng.uniform(0.0, 1.0, 20000).tolist()))
+        log_ratio, log_lower = conditional_bound_check(p)
+        assert math.isfinite(log_ratio) and math.isfinite(log_lower)
+        assert log_ratio < -745.0 and log_lower < -745.0
+        assert log_ratio - log_lower == pytest.approx(80.83, abs=0.01)
 
 
 class TestExhaustiveCheckers:
@@ -325,9 +337,9 @@ class TestLongChains:
         )
 
     def test_conditional_bound_at_20000_sites(self, chain):
-        ratio, lower = conditional_bound_check(chain)
-        assert math.isfinite(ratio) and math.isfinite(lower)
-        assert ratio >= lower - 1e-12
+        log_ratio, log_lower = conditional_bound_check(chain)
+        assert math.isfinite(log_ratio) and math.isfinite(log_lower)
+        assert log_ratio >= log_lower - 1e-12
 
     def test_cov_identity_at_20000_sites(self, chain):
         lhs, rhs = cov_identity_check(chain)

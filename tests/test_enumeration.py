@@ -9,19 +9,25 @@ rises between blocks.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from isingchain import (
     ChainParams,
+    covariance,
     covariance_enum,
     enum_summary,
     expectation_enum,
+    log_partition,
+    site_mean,
     window_marginal_enum,
 )
+from isingchain import chain
 
 from conftest import random_params
+from test_acceptance import excess
 
 _BLOCK_BITS = 16
 
@@ -202,3 +208,51 @@ def test_block_walkers_match_reference(params):
         assert expectation_enum(params, sites) == pytest.approx(
             ref_expectation_enum(params, sites), rel=1e-12, abs=1e-12
         ), sites
+
+
+@pytest.mark.parametrize("width", range(2, 17))
+def test_gray_gather_is_the_bond_product(width):
+    # Row k ^ (k >> 1) of the spin table holds the bond signs of row k, so
+    # one product with J and a gather give the bond energies bit for bit.
+    rng = np.random.default_rng(width)
+    low = chain._low_spins(width)
+    k = np.arange(1 << width)
+    scales = np.array([1e3, -1e3, 1e-8, -1e-8, 1e-300, -1e-300])
+    for _ in range(5):
+        j = rng.choice(scales, width - 1) * rng.uniform(0.5, 1.0, width - 1)
+        got = (low[:, :-1] @ j)[k ^ (k >> 1)]
+        assert np.array_equal(got, (low[:, :-1] * low[:, 1:]) @ j)
+    # The oracle's own weights: one block when the chain is the table's width.
+    params = random_params(rng, width, -1e3, 1e3, -1e3, 1e3)
+    j_arr, h_arr = np.array(params.couplings), np.array(params.fields)
+    energy = -(low[:, :-1] * low[:, 1:]) @ j_arr - low @ h_arr
+    ((_, w, _, shift),) = chain._weighted_blocks(params, low)
+    assert np.array_equal(w, np.exp(-shift - energy))
+
+
+def test_enumeration_peak_memory_below_one_bond_table():
+    # The 2^16 x 15 float64 bond-product table alone is 7.5 MiB.
+    chain._low_spins(16)
+    params = random_params(np.random.default_rng(16), 16)
+    tracemalloc.start()
+    try:
+        params.enumeration
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (1 << 16) * 15 * 8
+
+
+@pytest.mark.parametrize("seed", [24, 2424])
+def test_oracle_at_the_cap_matches_solver(seed):
+    # 24 sites: 8 high sites, 256 blocks of 2^16 configurations.
+    params = random_params(np.random.default_rng(seed), chain.ENUMERATION_CAP)
+    n = params.n_sites
+    log_z, means, _ = enum_summary(params)
+    worst = excess(log_partition(params), log_z)
+    worst = max(worst, *(excess(site_mean(params, x), means[x]) for x in range(n)))
+    for i in range(n):
+        for j in range(i + 1, n):
+            value = covariance_enum(params, i, j)
+            worst = max(worst, excess(covariance(params, i, j), value))
+    assert worst <= 1.0

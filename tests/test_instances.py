@@ -7,12 +7,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from isingchain import (
+    ChainParams,
     DistSpec,
     InstanceSpec,
     ParseError,
     PreconditionError,
     generate_instance,
     instance_seeds,
+    mc_moment,
 )
 
 
@@ -128,6 +130,15 @@ class TestInstanceSpec:
         (key,) = kwargs
         with pytest.raises(PreconditionError, match=f"^{key} must be an integer"):
             InstanceSpec(**kwargs)
+
+    @pytest.mark.parametrize("seed", [-1, 2**63])
+    def test_seed_range_message_shared_with_estimators(self, seed):
+        with pytest.raises(PreconditionError) as spec_exc:
+            InstanceSpec(seed=seed)
+        with pytest.raises(PreconditionError) as mc_exc:
+            mc_moment(ChainParams((1.0,), (0.2, 0.1)), (0,), 10, seed)
+        assert str(spec_exc.value) == str(mc_exc.value)
+        assert str(spec_exc.value) == f"seed must be in [0, {2**63}), got {seed}"
 
     def test_numpy_integers_accepted(self):
         import numpy as np

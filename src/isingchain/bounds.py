@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .chain import ChainParams, _check_pair, covariance_enum, ENUMERATION_CAP
 from .errors import OracleMismatchError, PreconditionError
@@ -39,6 +39,7 @@ from .transfer import (
     _from_log,
     log_abs_covariance,
     log_abs_covariance_row,
+    log_abs_covariance_rows,
     log_partition,
 )
 
@@ -219,7 +220,7 @@ def decay_rates(
     """
     i, stop = _check_pair(params, i, stop, "decay_rates", ordered=True)
     _require_ferromagnetic(params)
-    logs, negatives = log_abs_covariance_row(params, i, stop)
+    logs, negatives = (v.tolist() for v in log_abs_covariance_row(params, i, stop))
     sums = _window_sums(params, i, stop)
     sweep = _thm1_sweep(params, proof_route)
     return [
@@ -294,7 +295,7 @@ def compare(
     raised as a bug, not reported.
     """
     i, j = _check_pair(params, i, j, "compare")
-    return _reports(params, i, j, j, proof_route)[0]
+    return _reports(params, i, j, *_rows(params, i, j), proof_route)[0]
 
 
 def compare_row(
@@ -308,24 +309,53 @@ def compare_row(
     runs on every pair.
     """
     i, stop = _check_pair(params, i, params.n_sites - 1, "compare_row", ordered=True)
-    return _reports(params, i, i + 1, stop, proof_route)
+    return _reports(params, i, i + 1, *_rows(params, i, stop), proof_route)
+
+
+def _report_rows(params: ChainParams, proof_route: bool) -> Iterator[list[BoundReport]]:
+    """compare_row(params, i) for every left site i, in row order.
+
+    The covariance rows come off one term pass over the whole chain
+    (log_abs_covariance_rows), and one more for the absolute instance.
+    """
+    rows = log_abs_covariance_rows(params)
+    abs_params = params.absolute()
+    abs_rows = None if abs_params is params else log_abs_covariance_rows(abs_params)
+    for i, row in enumerate(rows):
+        abs_logs = row[0] if abs_rows is None else next(abs_rows)[0]
+        yield _reports(params, i, i + 1, row, abs_logs, proof_route)
+
+
+# A covariance row as lists: (log |cov|, cov < 0) for each right end.
+_Row = tuple[list[float], list[bool]]
+
+
+def _rows(params: ChainParams, i: int, stop: int) -> tuple[_Row, list[float]]:
+    """The covariance row (log |cov|, cov < 0) from i to stop, and the log
+    |cov| row of the absolute instance, which is the same when
+    ``params.absolute() is params``."""
+    logs, negatives = log_abs_covariance_row(params, i, stop)
+    row = logs.tolist(), negatives.tolist()
+    abs_params = params.absolute()
+    if abs_params is params:
+        return row, row[0]
+    return row, log_abs_covariance_row(abs_params, i, stop)[0].tolist()
 
 
 def _reports(
-    params: ChainParams, i: int, first: int, stop: int, proof_route: bool
+    params: ChainParams, i: int, first: int, row: _Row, abs_logs: list[float],
+    proof_route: bool,
 ) -> list[BoundReport]:
-    """Reports of the pairs (i, j), j = first .. stop, off one outward pass
-    from i to stop per summed quantity.
+    """Reports of the pairs (i, j), j = first .. stop, from the covariance row
+    (i, stop] of the instance, the log |cov| row of its absolute instance, and
+    one outward pass of the bound sums from i to stop.
 
-    The absolute instance's covariance row is the instance's own when
-    ``params.absolute() is params``. The instance-wide checks and the
-    partition ratio run once for all the pairs.
+    The instance-wide checks and the partition ratio run once for all the
+    pairs.
     """
-    logs, negatives = log_abs_covariance_row(params, i, stop)
+    logs, negatives = row
+    stop = i + len(logs)
     abs_params = params.absolute()
-    abs_logs = logs
-    if abs_params is not params:
-        abs_logs, _ = log_abs_covariance_row(abs_params, i, stop)
     log_ratio = log_partition(abs_params) - log_partition(params)
     ferromagnetic = params.is_ferromagnetic()
     nonneg = ferromagnetic and params.has_nonneg_fields()

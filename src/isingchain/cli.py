@@ -36,8 +36,8 @@ from .bounds import (
     BOUND_KEYS,
     REPORT_COLUMNS,
     BoundReport,
+    _report_rows,
     compare,
-    compare_row,
     decay_rates,
     format_cell,
 )
@@ -45,7 +45,7 @@ from .chain import ENUMERATION_CAP, ChainParams, _check_integer, enum_summary
 from .errors import ChainError, OracleMismatchError, ParseError, PreconditionError
 from .instances import SEED_LIMIT, InstanceSpec, generate_instance, instance_seeds
 from .currents import mc_switching_covariance
-from .transfer import covariance, log_partition, site_mean
+from .transfer import covariance, log_partition
 
 
 def _emit(
@@ -123,7 +123,8 @@ def cmd_exact(args: argparse.Namespace) -> int:
     params, _ = _resolve_instance(args)
     pair = _pair(args, required=False)
     log_z = log_partition(params)
-    means = [site_mean(params, x) for x in range(params.n_sites)]
+    mean_array = params.sweep.means
+    means = mean_array.tolist()
     result: dict[str, Any] = {
         "n_sites": params.n_sites,
         "log_partition": log_z,
@@ -142,7 +143,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
         check: dict[str, Any] = {
             "log_partition": e_log_z,
             "max_mean_abs_diff": float(
-                np.max(np.abs(np.asarray(means) - e_means))
+                np.max(np.abs(mean_array - e_means))
             ),
         }
         if e_cov is not None:
@@ -171,14 +172,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def _sweep_reports(
     params: ChainParams, policy: str, proof_route: bool
 ) -> Iterable[BoundReport]:
-    """The endpoint pair's report, or every pair's in row order, one
-    compare_row per left site."""
+    """The endpoint pair's report, or every pair's in row order."""
     if policy == "endpoints":
         return [compare(params, 0, params.n_sites - 1, proof_route=proof_route)]
-    return itertools.chain.from_iterable(
-        compare_row(params, i, proof_route=proof_route)
-        for i in range(params.n_sites - 1)
-    )
+    return itertools.chain.from_iterable(_report_rows(params, proof_route))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

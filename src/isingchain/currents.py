@@ -38,9 +38,12 @@ from .errors import CapacityError, InconclusiveEstimateError, PreconditionError
 from .instances import SEED_LIMIT
 from .transfer import covariance
 
-# Samples per estimator chunk. A chunk is also capped at _CHUNK * 32 edge
-# draws (a 16 MiB buffer of uniforms), so long chains get shorter chunks.
-_CHUNK = 1 << 16
+# Samples per estimator chunk, which bounds the buffers on short chains (about
+# 1.4 MiB of uniforms at 6 sites); the estimates do not depend on it. A chunk
+# is also capped at _CHUNK_DRAWS edge draws (a 16 MiB buffer of uniforms), so
+# long chains get shorter chunks.
+_CHUNK = 1 << 13
+_CHUNK_DRAWS = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -98,7 +101,7 @@ def _class_chunks(
     p_zero = np.array([law[0] for law in laws])
     p_zero_or_odd = p_zero + np.array([law[2] for law in laws])
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    rows = max(1, min(_CHUNK, _CHUNK * 32 // (copies * len(laws)), samples))
+    rows = max(1, min(_CHUNK, _CHUNK_DRAWS // (copies * len(laws)), samples))
     uniforms = np.empty((rows, copies, len(laws)))
     classes = np.empty(uniforms.shape, dtype=np.int8)
     done = 0

@@ -23,13 +23,24 @@ at 2000, 1.94 / 0.86 ms at 4096 and 47 / 16.5 ms at 1e5. Both kernels sum
 their log-scale shifts into log Z with math.fsum.
 
 The site field f_x = left_field(x) + right_field(x) - h_x carries both
-messages, so <sigma_x> = tanh(f_x) and var(sigma_x) = sech^2(f_x).
+messages, so <sigma_x> = tanh(f_x) and var(sigma_x) = sech^2(f_x). The sweep
+keeps the end fields and the site fields as float64 arrays, and the site
+means as one np.tanh of the site fields.
 
-A covariance from a left site i is a running sum over one outward pass
-j = i+1, i+2, ...: log_abs_covariance_row reads log |cov(i, j)| for every j
-up to a stop off that pass, in O(stop - i), so a whole row of pairs costs O(1)
-per pair. A single pair runs the same pass with stop = j, O(j - i), and reads
-its last entry, so both give the same floats.
+A covariance from a left site i sums per-site log terms (below): the
+adjacent log covariance of every window edge and 2 log cosh f_k of every
+interior site k. _covariance_terms computes them as arrays over a window
+[i, stop) only, with the parity of the negative couplings, in O(stop - i)
+numpy work, whatever N is. log_abs_covariance_row reads log |cov(i, j)| for
+every j up to stop as np.cumsum of those arrays: cumsum is add.accumulate,
+which adds in index order, so entry j - i - 1 is the same running sum as a
+loop over j = i+1, i+2, ... would give (Higham 2002, sec. 4.2: the error of
+a recursive sum depends on the order, so keeping it keeps the error bound).
+A single pair runs the same pass with stop = j and reads its last entry, so
+both give the same floats; the terms are elementwise, so they do not depend
+on the window either. log_abs_covariance_rows serves every left site of a
+chain off one term pass, summing a block of rows at a time as a 2-D cumsum
+over the terms gathered row by row.
 
 The covariance is NOT computed as pair_expectation minus the product of site
 means: that difference cancels catastrophically once the covariance is
@@ -47,15 +58,16 @@ small it is.
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .chain import ChainParams, _check_pair, _check_site
 from .errors import DecayRateUndefinedError
-from .numeric import log_add_exp, log_cosh
+from .numeric import _LOG2, log_add_exp
 
 
 # The chain length from which ChainSweep runs the scan (module docstring), and
@@ -191,32 +203,47 @@ class ChainSweep:
     the forward pass over the reflected chain, read back in site order.
 
     * ``log_z``: log Z, accumulated by the forward pass.
-    * ``left_field(x)`` / ``right_field(x)``: field on x once every site left /
-      right of x is summed out (the end fields of ``truncate``). The message
-      from that side weighs sigma_x by exp(gap * sigma_x / 2), so the field
-      is h_x plus half the stored gap.
+    * ``left_fields`` / ``right_fields``: float64 arrays; entry x is the field
+      on x once every site left / right of x is summed out (the end fields of
+      ``truncate``). The message from that side weighs sigma_x by
+      exp(gap * sigma_x / 2), so the field is h_x plus half the stored gap.
+      ``left_field(x)`` / ``right_field(x)`` read one entry as a float.
+    * ``site_fields``: f_x = left + right - h_x, and ``means``: tanh of them,
+      the site means, computed on first use.
 
-    These two fields are the only form in which the solver reads a message:
+    The end fields are the only form in which the solver reads a message:
     site means and covariances are closed forms in them (module docstring).
+    All arrays are read-only.
     """
 
     def __init__(self, params: ChainParams) -> None:
         couplings, fields = params.couplings, params.fields
-        self._fields = fields
+        h = np.fromiter(fields, np.float64, len(fields))
         kernel = _pass
         if len(fields) >= SCAN_MIN_SITES:
             kernel = _scan_pass
             couplings = np.fromiter(couplings, np.float64, len(couplings))
-            fields = np.fromiter(fields, np.float64, len(fields))
-        self._fwd, self.log_z = kernel(couplings, fields)
-        self._bwd, _ = kernel(couplings[::-1], fields[::-1])
-        self._bwd.reverse()
+            fields = h
+        fwd, self.log_z = kernel(couplings, fields)
+        bwd, _ = kernel(couplings[::-1], fields[::-1])
+        self.left_fields = _read_only(h + 0.5 * np.frombuffer(fwd))
+        self.right_fields = _read_only(h + 0.5 * np.frombuffer(bwd)[::-1])
+        self.site_fields = _read_only(self.left_fields + self.right_fields - h)
+
+    @functools.cached_property
+    def means(self) -> np.ndarray:
+        return _read_only(np.tanh(self.site_fields))
 
     def left_field(self, x: int) -> float:
-        return self._fields[x] + 0.5 * self._fwd[x]
+        return self.left_fields.item(x)
 
     def right_field(self, x: int) -> float:
-        return self._fields[x] + 0.5 * self._bwd[x]
+        return self.right_fields.item(x)
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
 
 
 def log_partition(params: ChainParams) -> float:
@@ -226,9 +253,7 @@ def log_partition(params: ChainParams) -> float:
 
 def site_mean(params: ChainParams, x: int) -> float:
     """<sigma_x>; strictly inside (-1, 1) for finite parameters."""
-    x = _check_site(params, x)
-    sweep = params.sweep
-    return math.tanh(sweep.left_field(x) + sweep.right_field(x) - params.fields[x])
+    return params.sweep.means.item(_check_site(params, x))
 
 
 def pair_expectation(params: ChainParams, i: int, j: int) -> float:
@@ -239,14 +264,6 @@ def pair_expectation(params: ChainParams, i: int, j: int) -> float:
     """
     i, j = _check_pair(params, i, j, "pair_expectation", ordered=True)
     return covariance(params, i, j) + site_mean(params, i) * site_mean(params, j)
-
-
-def _adjacent_log_cov(jk: float, a: float, b: float) -> float:
-    """log |cov| of the two-site chain with coupling jk != 0 and fields a, b."""
-    if jk < 0.0:
-        jk, b = -jk, -b
-    log_den = log_add_exp(log_cosh(a + b), log_cosh(a - b) - 2.0 * jk)
-    return math.log(-math.expm1(-4.0 * jk)) - 2.0 * log_den
 
 
 def _from_log(log_abs: float, negative: bool) -> float:
@@ -272,42 +289,103 @@ def log_abs_covariance(params: ChainParams, i: int, j: int) -> tuple[float, bool
     finite where |cov| itself underflows.
     """
     logs, negatives = log_abs_covariance_row(params, i, j)
-    return logs[-1], bool(negatives[-1])
+    return logs.item(-1), negatives.item(-1)
+
+
+def _log_cosh(x: np.ndarray) -> np.ndarray:
+    """numeric.log_cosh elementwise, in the same order of operations."""
+    ax = np.abs(x)
+    return ax + np.log1p(np.exp(-2.0 * ax)) - _LOG2
+
+
+def _covariance_terms(
+    params: ChainParams, i: int, stop: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The log terms of every covariance from left site i within [i, stop].
+
+    (adjacent, interior, negative): adjacent[k - i] is log |cov| of the
+    two-site chain on edge k (module docstring) for k in [i, stop), -inf at a
+    zero coupling; interior[k - i - 1] is 2 log cosh f_k = -log var(sigma_k)
+    for k in (i, stop); negative[k - i] is the parity of the negative
+    couplings on edges i..k. O(stop - i).
+    """
+    sweep = params.sweep
+    m = stop - i
+    jk = np.array(params.couplings[i:stop], dtype=np.float64)
+    a = sweep.left_fields[i:stop]
+    b = sweep.right_fields[i + 1 : stop + 1]
+    flip = jk < 0.0
+    # cov is odd in (J, b): flip both so the closed form sees |J|
+    b = np.where(flip, -b, b)
+    jk = np.abs(jk)
+    # one log cosh pass over a + b, a - b and the interior site fields
+    x = np.concatenate([a + b, a - b, sweep.site_fields[i + 1 : stop]])
+    with np.errstate(divide="ignore", under="ignore"):
+        log_cosh = _log_cosh(x)
+        p = log_cosh[:m]
+        q = log_cosh[m : 2 * m] - 2.0 * jk
+        top = np.maximum(p, q)
+        log_den = top + np.log1p(np.exp(np.minimum(p, q) - top))
+        adjacent = np.log(-np.expm1(-4.0 * jk)) - 2.0 * log_den
+    interior = 2.0 * log_cosh[2 * m :]
+    return adjacent, interior, np.logical_xor.accumulate(flip)
 
 
 def log_abs_covariance_row(
     params: ChainParams, i: int, stop: int
-) -> tuple[array, bytearray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """log_abs_covariance(params, i, j) for every j in (i, stop], entry j - i - 1.
 
-    One outward pass from i: the adjacent log covariances and the interior
-    log variances are two running sums, each over the same terms in the same
-    order as the window loop of a single pair. Every entry past a zero
-    coupling is (-inf, False).
+    Two running sums over the window's terms (_covariance_terms), the
+    adjacent log covariances and the interior log variances. np.cumsum runs
+    add.accumulate, which adds in index order, so a single pair, which reads
+    the last entry of the row to it, gets the same floats. Every entry past a
+    zero coupling is (-inf, False).
     """
-    sweep = params.sweep
-    couplings, fields = params.couplings, params.fields
-    logs = array("d")
-    negatives = bytearray()
-    adjacent = interior = 0.0
-    negative = False
-    for k in range(i, stop):
-        jk = couplings[k]
-        if jk == 0.0:
-            logs.extend([-math.inf] * (stop - k))
-            negatives.extend(bytes(stop - k))
-            break
-        if jk < 0.0:
-            negative = not negative
-        a = sweep.left_field(k)
-        if k > i:
-            # divide by var(sigma_k) = sech^2(f_k); b is right_field(k)
-            interior += 2.0 * log_cosh(a + b - fields[k])
-        b = sweep.right_field(k + 1)
-        adjacent += _adjacent_log_cov(jk, a, b)
-        logs.append(adjacent + interior)
-        negatives.append(negative)
-    return logs, negatives
+    adjacent, interior, negative = _covariance_terms(params, i, stop)
+    logs = np.cumsum(adjacent)
+    logs[1:] += np.cumsum(interior)
+    return logs, negative & (logs > -math.inf)
+
+
+# Entries per block of rows that log_abs_covariance_rows sums at once.
+ROW_BLOCK = 1 << 15
+
+
+def log_abs_covariance_rows(
+    params: ChainParams,
+) -> Iterator[tuple[list[float], list[bool]]]:
+    """log_abs_covariance_row(params, i, N - 1) for i = 0 .. N - 2, in order,
+    as lists.
+
+    One term pass over the whole chain serves every row; each row is summed
+    from its own left site, as a row of a 2-D cumsum over the terms gathered
+    from that site on, so it is the same floats as log_abs_covariance_row.
+    Rows are summed in blocks of about ROW_BLOCK entries, which bounds the
+    memory.
+    """
+    n = params.n_edges
+    adjacent, interior, negative = _covariance_terms(params, 0, n)
+    # padded so every row of a block is full length; entry k of the interior
+    # pad is site k's term, entry i of `before` the parity of the negative
+    # couplings left of site i
+    adjacent = np.concatenate([adjacent, np.zeros(n)])
+    interior = np.concatenate([[0.0], interior, np.zeros(n)])
+    before = np.concatenate([[False], negative[:-1]])
+    negative = np.concatenate([negative, np.zeros(n, dtype=bool)])
+    start = 0
+    while start < n:
+        width = n - start
+        stop = min(n, start + max(1, ROW_BLOCK // width))
+        # window k of row i is edge (and interior site) i + k
+        window = np.arange(start, stop)[:, None] + np.arange(width)
+        logs = np.cumsum(adjacent[window], axis=1)
+        logs[:, 1:] += np.cumsum(interior[window[:, 1:]], axis=1)
+        negatives = negative[window] ^ before[start:stop, None]
+        negatives &= logs > -math.inf
+        for i, row, signs in zip(range(start, stop), logs.tolist(), negatives.tolist()):
+            yield row[: n - i], signs[: n - i]
+        start = stop
 
 
 def _decay_rate(log_abs: float, negative: bool, distance: int) -> float | None:

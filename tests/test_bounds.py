@@ -24,6 +24,7 @@ from isingchain.bounds import (
     DOMINANCE_TOL,
     REPORT_COLUMNS,
     BoundReport,
+    _report_rows,
     _fsum_add,
     decay_rates,
     format_cell,
@@ -348,6 +349,16 @@ class TestCompareRow:
             row = compare_row(params, i, proof_route=proof_route)
             pairs = [compare(params, i, j, proof_route=proof_route) for j in range(i + 1, n)]
             assert row == pairs
+
+    @pytest.mark.parametrize("proof_route", [False, True])
+    @pytest.mark.parametrize("params", _row_instances())
+    def test_all_pairs_equal_rows(self, params, proof_route):
+        # the rows off one term table per instance are compare_row's reports
+        want = [
+            compare_row(params, i, proof_route=proof_route)
+            for i in range(params.n_sites - 1)
+        ]
+        assert list(_report_rows(params, proof_route)) == want
 
     def test_row_bounds_equal_bound_functions(self):
         params = ferro_params(np.random.default_rng(97), 12, h_low=0.0)

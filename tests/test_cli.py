@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -18,10 +19,13 @@ from isingchain import (
     ChainParams,
     DecayRateUndefinedError,
     InconclusiveEstimateError,
+    InstanceSpec,
     OracleMismatchError,
     ParseError,
     PreconditionError,
     covariance,
+    generate_instance,
+    site_mean,
 )
 from isingchain.cli import build_parser, main
 from isingchain.currents import McEstimate
@@ -106,6 +110,21 @@ class TestExact:
         assert float(values["enum_covariance"]) == pytest.approx(
             math.tanh(1.0), rel=1e-12
         )
+
+    @pytest.mark.parametrize("n_sites", [5, 40])
+    def test_means_are_site_mean(self, capsys, tmp_path, n_sites):
+        # the CLI reads the sweep's cached means, the floats site_mean returns
+        spec = {"n_sites": n_sites, "seed": 6}
+        path = write_json(tmp_path, "spec.json", spec)
+        params = generate_instance(InstanceSpec.from_json(json.dumps(spec)), 6)
+        code, out, _ = run(capsys, "exact", "--spec", path, "--out", "json")
+        assert code == 0
+        means = json.loads(out)["means"]
+        assert means == [site_mean(params, x) for x in range(n_sites)]
+        code, out, _ = run(capsys, "exact", "--spec", path)
+        values = kv_csv(out)
+        for x in range(n_sites):
+            assert values[f"mean_{x}"] == format(site_mean(params, x), ".17g")
 
     def test_csv_is_lf_terminated(self, capsys, single_edge):
         _, out, _ = run(capsys, "exact", "--instance", single_edge)
@@ -552,39 +571,113 @@ class TestDecay:
 
 
 class TestCost:
-    """Work counted in adjacent-covariance terms, one per window edge a pass
-    visits: one outward pass per left site is linear per row, while a
-    per-distance window sum would be quadratic."""
+    """Work counted in window elements of the covariance term kernel, one per
+    edge a call covers: one kernel call per decay row, and one per instance
+    for all pairs of a sweep, while a call per pair would be quadratic per
+    row."""
 
     @pytest.fixture
-    def adjacent_calls(self, monkeypatch):
+    def kernel_edges(self, monkeypatch):
         import isingchain.transfer as transfer_mod
 
-        calls = []
-        real = transfer_mod._adjacent_log_cov
+        edges = []
+        real = transfer_mod._covariance_terms
 
-        def counting(*args):
-            calls.append(args[1])
-            return real(*args)
+        def counting(params, i, stop):
+            edges.append(stop - i)
+            return real(params, i, stop)
 
-        monkeypatch.setattr(transfer_mod, "_adjacent_log_cov", counting)
-        return calls
+        monkeypatch.setattr(transfer_mod, "_covariance_terms", counting)
+        return edges
 
-    def test_decay_is_linear(self, capsys, tmp_path, adjacent_calls):
+    def test_decay_is_linear(self, capsys, tmp_path, kernel_edges):
         n = 2000
         spec = write_json(tmp_path, "spec.json", {"n_sites": n, "seed": 1})
         assert run(capsys, "decay", "--spec", spec)[0] == 0
-        assert 0 < len(adjacent_calls) <= 2 * n
+        assert 0 < sum(kernel_edges) <= 2 * n
 
-    def test_sweep_all_pairs_is_quadratic(self, capsys, tmp_path, adjacent_calls):
-        # past the oracle cap; a window sum per pair would need ~N^3/3 terms
+    def test_sweep_all_pairs_is_quadratic(self, capsys, tmp_path, kernel_edges):
+        # past the oracle cap; one kernel pass per instance and one for its
+        # absolute instance (the default spec has signed entries)
         n, count = 40, 2
         spec = write_json(tmp_path, "spec.json", {"n_sites": n, "seed": 1})
         code, out, _ = run(
             capsys, "sweep", "--spec", spec, "--count", str(count), "--pairs", "all"
         )
         assert code == 0 and len(out.splitlines()) == 1 + count * n * (n - 1) // 2
-        assert 0 < len(adjacent_calls) <= 2 * n * n * count
+        assert kernel_edges == [n - 1] * (2 * count)
+
+
+class TestNoNumpyWarnings:
+    """The covariance kernel takes log(0) at zero couplings and exp underflows
+    at |J|, |h| = 1e3; no numpy RuntimeWarning may reach the user. Under
+    warnings.simplefilter("error") a warning would raise out of main."""
+
+    INSTANCE = {
+        "J": [0.0, 5e-324, -5e-324, 1e3, -1e3, 0.5, 0.0, 1e3],
+        "h": [1e3, -1e3, 5e-324, -5e-324, 0.0, 0.3, -1e3, 1e3, 5e-324],
+    }
+    SPECS = {
+        "zero": {"J": {"type": "constant", "value": 0.0},
+                 "h": {"type": "uniform", "low": -1e3, "high": 1e3}},
+        "tiny": {"J": {"type": "constant", "value": 5e-324},
+                 "h": {"type": "constant", "value": -5e-324}},
+        "tiny_signed": {"J": {"type": "constant", "value": 5e-324},
+                        "h": {"type": "constant", "value": 5e-324},
+                        "sign_flip_prob": 0.5},
+        "big": {"J": {"type": "constant", "value": 1e3},
+                "h": {"type": "constant", "value": 1e3},
+                "sign_flip_prob": {"J": 0.0, "h": 0.5}},
+        "big_signed": {"J": {"type": "uniform", "low": -1e3, "high": 1e3},
+                       "h": {"type": "uniform", "low": -1e3, "high": 1e3}},
+    }
+    NOT_FERRO = (3, "error: decay rates are defined for ferromagnetic chains\n")
+
+    @staticmethod
+    def _run_strict(capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return run(capsys, *argv)
+
+    @pytest.mark.parametrize("pair", [("0", "8"), ("2", "5"), ("1", "4")])
+    @pytest.mark.parametrize("command", ["exact", "bounds"])
+    def test_instance(self, capsys, tmp_path, command, pair):
+        path = write_json(tmp_path, "chain.json", self.INSTANCE)
+        argv = [command, "--instance", path, "--i", pair[0], "--j", pair[1]]
+        code, out, err = self._run_strict(capsys, argv)
+        assert (code, err) == (0, "")
+        assert "nan" not in out
+
+    @pytest.mark.parametrize(
+        "name, sweep_err, decay",
+        [
+            ("zero", "thm1=0 thm2=n/a lemma3=0 zero_field=0", (0, "")),
+            ("tiny", "thm1=0 thm2=n/a lemma3=0 zero_field=0", (0, "")),
+            ("tiny_signed", "thm1=n/a thm2=n/a lemma3=0 zero_field=n/a", NOT_FERRO),
+            ("big", "thm1=0 thm2=n/a lemma3=0 zero_field=0.11111111111109506",
+             (0, "")),
+            ("big_signed", "thm1=n/a thm2=n/a lemma3=0 zero_field=n/a", NOT_FERRO),
+        ],
+    )
+    def test_spec(self, capsys, tmp_path, name, sweep_err, decay):
+        spec = write_json(
+            tmp_path, "spec.json", {"n_sites": 12, "seed": 3, **self.SPECS[name]}
+        )
+        for argv in (
+            ["exact", "--spec", spec, "--i", "0", "--j", "11"],
+            ["bounds", "--spec", spec, "--i", "1", "--j", "10"],
+        ):
+            code, out, err = self._run_strict(capsys, argv)
+            assert (code, err) == (0, "")
+            assert "nan" not in out
+        code, out, err = self._run_strict(
+            capsys, ["sweep", "--spec", spec, "--pairs", "all", "--count", "2"]
+        )
+        assert (code, err) == (0, f"min slack: {sweep_err}\n")
+        assert "nan" not in out
+        code, out, err = self._run_strict(capsys, ["decay", "--spec", spec])
+        assert (code, err) == decay
+        assert "nan" not in out
 
 
 class TestInputValidation:

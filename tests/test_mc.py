@@ -253,13 +253,16 @@ class TestClassLaw:
         assert run() == default
 
     def test_long_chains_get_short_chunks(self, monkeypatch):
-        params = ChainParams((0.1,) * 19, (0.0,) * 20)
-        sizes = [c.shape[2] for c in _class_chunks(params, 1, 30_000, copies=2)]
-        assert sum(sizes) == 30_000
-        assert len(sizes) > 1 and max(sizes) * 2 * 39 <= currents._CHUNK * 32
-        default = mc_switching_covariance(params, 0, 19, samples=30_000, seed=4)
+        # 129 edge laws: the draw cap, not the sample cap, sets the chunk
+        params = ChainParams((0.01,) * 64, (0.0,) * 65)
+        sizes = [c.shape[2] for c in _class_chunks(params, 1, 10_000, copies=2)]
+        assert sum(sizes) == 10_000
+        assert max(sizes) < currents._CHUNK
+        assert len(sizes) > 1 and max(sizes) * 2 * 129 <= currents._CHUNK_DRAWS
+        default = mc_switching_covariance(params, 0, 64, samples=10_000, seed=4)
         monkeypatch.setattr(currents, "_CHUNK", 1 << 30)
-        assert mc_switching_covariance(params, 0, 19, samples=30_000, seed=4) == default
+        monkeypatch.setattr(currents, "_CHUNK_DRAWS", 1 << 30)
+        assert mc_switching_covariance(params, 0, 64, samples=10_000, seed=4) == default
 
     def test_one_generator_per_call(self, monkeypatch):
         made = []

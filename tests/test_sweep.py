@@ -4,18 +4,23 @@ The reference functions below rerun a partial forward and backward pass per
 site, as the solver did before ChainSweep, and the end fields of a window come
 from removing the outer sites one at a time with remove_end_site. From its own
 passes each reference forms the site field f_x = left + right - h_x and the
-two-site adjacent covariance of transfer.py's module docstring. The cached
-sweep must reproduce log Z and the means bit for bit, also on the
-extreme-parameter instances of test_transfer.py.
+two-site adjacent covariance of transfer.py's module docstring, in scalar
+math. The cached sweep must reproduce log Z and every site field bit for bit,
+also on the extreme-parameter instances of test_transfer.py.
 
-The covariance sums the same log terms as ref_covariance, each computed the
-same way, but as two running sums (adjacent covariances, interior variances)
-so that one outward pass serves every right end; the sums round differently,
-so covariances are gated at the summation error bound of Higham (2002),
-Thm 4.4 (see assert_covariance_within_gate), and against a high-precision
-mpmath transfer run whose working precision covers the cancellation in
-<sigma_i sigma_j> - <sigma_i><sigma_j>. The same transfer run gates log Z and
-every site mean.
+The solver evaluates its per-site terms (site means, adjacent log
+covariances, interior log variances) as numpy arrays, whose exp, log1p, tanh
+and expm1 may round differently from libm's. So each term is gated against
+its scalar reference at TERM_GATE units of roundoff of the term's scale
+(assert_terms_match_scalar_references), and the means pin to numpy's tanh of
+the reference site field. The covariance adds the solver's own terms as two
+running sums (adjacent covariances, interior variances), so that one outward
+pass serves every right end. That order is pinned exactly, and the sum is
+gated against ref_covariance's order at the summation error bound of Higham
+(2002), Thm 4.4 (see assert_covariance_within_gate). A high-precision mpmath
+transfer run, whose working precision covers the cancellation in
+<sigma_i sigma_j> - <sigma_i><sigma_j>, gates the covariances, log Z and every
+site mean.
 
 truncate reads its end fields off the sweep's message gaps, which round
 differently from repeated removal, so those are gated at end_field_tolerance
@@ -42,10 +47,12 @@ from isingchain.numeric import log_add_exp, log_cosh
 from isingchain.transfer import (
     SCAN_BLOCK,
     SCAN_MIN_SITES,
-    _adjacent_log_cov,
+    _covariance_terms,
     _pass,
     _scan_pass,
     log_abs_covariance,
+    log_abs_covariance_row,
+    log_abs_covariance_rows,
 )
 
 from conftest import end_field_tolerance, random_params
@@ -92,6 +99,15 @@ def _site_field(params, x, fwd, bwd):
     return _end_field(params, x, fwd) + _end_field(params, x, bwd) - params.fields[x]
 
 
+def _adjacent_log_cov(jk, a, b):
+    """log |cov| of the two-site chain with coupling jk != 0 and fields a, b:
+    the closed form of transfer.py's module docstring in scalar math."""
+    if jk < 0.0:
+        jk, b = -jk, -b
+    log_den = log_add_exp(log_cosh(a + b), log_cosh(a - b) - 2.0 * jk)
+    return math.log(-math.expm1(-4.0 * jk)) - 2.0 * log_den
+
+
 def _adjacent_term(params, k, fwd, bwd):
     """log |cov(sigma_k, sigma_{k+1})| from the messages into k and k+1."""
     a, b = _end_field(params, k, fwd), _end_field(params, k + 1, bwd)
@@ -120,10 +136,10 @@ def ref_log_partition(params):
     return math.fsum(ref_log_partition_terms(params))
 
 
-def ref_site_mean(params, x):
+def ref_site_field(params, x):
     fwd = _forward_sweep(params, x)[x]
     bwd = _backward_sweep(params, x)[0]
-    return math.tanh(_site_field(params, x, fwd, bwd))
+    return _site_field(params, x, fwd, bwd)
 
 
 def ref_covariance(params, i, j):
@@ -163,16 +179,28 @@ def gamma(m):
     return m * UNIT_ROUNDOFF / (1.0 - m * UNIT_ROUNDOFF)
 
 
-def assert_covariance_within_gate(params, i, j):
-    """covariance and log_abs_covariance against ref_covariance's terms.
+def solver_log_terms(params, i, j):
+    """The solver's own terms of (i, j), ordered as in ref_log_terms; None past a
+    zero coupling."""
+    if 0.0 in params.couplings[i:j]:
+        return None
+    adjacent, interior, _ = _covariance_terms(params, i, j)
+    return adjacent.tolist() + interior.tolist()
 
-    Both sides add the same m terms x_k. A recursive sum of m terms is off
-    the exact sum by at most gamma_{m-1} sum |x_k| (Higham 2002, Thm 4.4),
-    and the solver's two running sums plus their final addition obey the
-    same bound, so the two logs differ by at most 2 gamma_m sum |x_k|. The
-    covariances are exp of those logs, each rounded once.
+
+def assert_covariance_within_gate(params, i, j):
+    """covariance and log_abs_covariance against the solver's own terms.
+
+    The solver adds the j - i adjacent terms and the interior terms as two
+    running sums in index order and adds the two at the end; that order is
+    pinned bit for bit. Against ref_covariance's single running sum of the
+    same m terms x_k: a recursive sum of m terms is off the exact sum by at
+    most gamma_{m-1} sum |x_k| (Higham 2002, Thm 4.4), and the solver's two
+    running sums plus their final addition obey the same bound, so the two
+    logs differ by at most 2 gamma_m sum |x_k|. The covariances are exp of
+    those logs, each rounded once.
     """
-    terms = ref_log_terms(params, i, j)
+    terms = solver_log_terms(params, i, j)
     ref = ref_covariance(params, i, j)
     log_abs, negative = log_abs_covariance(params, i, j)
     covs = (covariance(params, i, j), covariance(params, j, i))
@@ -181,17 +209,73 @@ def assert_covariance_within_gate(params, i, j):
         assert ref == 0.0
         assert all(c == 0.0 and math.copysign(1.0, c) == 1.0 for c in covs)
         return
+    adjacent = interior = 0.0
+    for term in terms[: j - i]:
+        adjacent += term
+    for term in terms[j - i :]:
+        interior += term
+    assert log_abs == adjacent + interior
     ref_log = 0.0
     for term in terms:
         ref_log += term
     bound = 2.0 * gamma(len(terms)) * math.fsum(map(abs, terms))
     assert abs(log_abs - ref_log) <= bound
     assert negative == (math.copysign(1.0, ref) < 0.0)
+    ref = math.copysign(math.exp(ref_log), ref)
     for cov in covs:
         tol = math.expm1(bound) * max(abs(cov), abs(ref)) + 2.0 * (
             math.ulp(cov) + math.ulp(ref)
         )
         assert abs(cov - ref) <= tol
+
+
+# A solver term and its scalar reference agree to TERM_GATE units of roundoff
+# of the term's scale: the largest magnitude among its parts, and at least
+# log 2, the constant that log cosh subtracts. Worst seen on 600 random chains
+# with |J|, |h| from 0.01 to 1e3: 4.5 for an adjacent term, 2.9 for an
+# interior term. Means are gated at MEAN_GATE ulp of math.tanh; worst seen 2.
+TERM_GATE = 8.0
+MEAN_GATE = 4.0
+
+
+def assert_terms_match_scalar_references(params, i, j):
+    """_covariance_terms over [i, j] against the scalar references, term by
+    term, from the reference's own messages; the means likewise."""
+    adjacent, interior, negative = _covariance_terms(params, i, j)
+    fwd = _forward_sweep(params, j)
+    bwd = _backward_sweep(params, i)
+    log2 = math.log(2.0)
+    flips = 0
+    for k in range(i, j):
+        jk = params.couplings[k]
+        flips += jk < 0.0
+        assert negative[k - i] == flips % 2
+        if jk == 0.0:
+            assert adjacent[k - i] == -math.inf
+            continue
+        a = _end_field(params, k, fwd[k])
+        b = _end_field(params, k + 1, bwd[k + 1 - i])
+        log_edge = math.log(-math.expm1(-4.0 * abs(jk)))
+        scale = max(log2, abs(a) + abs(b) + 2.0 * abs(jk), -log_edge)
+        ref = _adjacent_term(params, k, fwd[k], bwd[k + 1 - i])
+        assert abs(adjacent[k - i] - ref) <= TERM_GATE * UNIT_ROUNDOFF * scale
+    for k in range(i + 1, j):
+        f = _site_field(params, k, fwd[k], bwd[k - i])
+        ref = 2.0 * log_cosh(f)
+        scale = 2.0 * max(log2, abs(f))
+        assert abs(interior[k - i - 1] - ref) <= TERM_GATE * UNIT_ROUNDOFF * scale
+
+
+def assert_means_match_scalar_references(params, sites):
+    """Every site field bit for bit; each mean is numpy's tanh of it, within
+    MEAN_GATE ulp of math.tanh."""
+    sweep = params.sweep
+    for x in sites:
+        field = ref_site_field(params, x)
+        assert sweep.site_fields[x] == field
+        assert site_mean(params, x) == float(np.tanh(field))
+        ref = math.tanh(field)
+        assert abs(site_mean(params, x) - ref) <= MEAN_GATE * math.ulp(ref)
 
 
 def mp_transfer(params, digits, pairs=()):
@@ -370,9 +454,10 @@ INSTANCES = EXTREME + _random_instances()
 def test_solver_bit_identical_to_per_site_recursion(params):
     n = params.n_sites
     assert log_partition(params) == ref_log_partition(params)
-    for x in range(n):
-        assert site_mean(params, x) == ref_site_mean(params, x)
+    assert_means_match_scalar_references(params, range(n))
     for i in range(n):
+        if i < n - 1:
+            assert_terms_match_scalar_references(params, i, n - 1)
         for j in range(i + 1, n):
             assert_covariance_within_gate(params, i, j)
 
@@ -424,9 +509,9 @@ def test_long_chain_bit_identical():
     rng = np.random.default_rng(77)
     params = random_params(rng, 3000)
     assert log_partition(params) == ref_log_partition(params)
-    for x in (0, 1, 1499, 2998, 2999):
-        assert site_mean(params, x) == ref_site_mean(params, x)
+    assert_means_match_scalar_references(params, (0, 1, 1499, 2998, 2999))
     for i, j in ((0, 2999), (1000, 1100), (2998, 2999)):
+        assert_terms_match_scalar_references(params, i, j)
         assert_covariance_within_gate(params, i, j)
         model = truncate(params, i, j)
         assert_end_fields_within_gate(params, model, ref_end_fields(params, i, j))
@@ -553,3 +638,56 @@ def test_sweep_built_once_per_instance():
     assert params.absolute() is params.absolute()
     # the cache is not part of the value: equal parameters stay equal
     assert params == ChainParams(params.couplings, params.fields)
+
+
+def _row_instances():
+    rng = np.random.default_rng(83)
+    out = [random_params(rng, n) for n in (2, 3, 13, 40)]
+    out.append(random_params(rng, 25, -1e3, 1e3, -1e3, 1e3))
+    out.append(EXTREME[0])
+    out.append(EXTREME[6])
+    couplings = list(random_params(rng, 30).couplings)
+    couplings[4] = couplings[17] = 0.0
+    couplings[9], couplings[11] = 5e-324, -5e-324
+    out.append(ChainParams(tuple(couplings), random_params(rng, 30).fields))
+    return out
+
+
+@pytest.mark.parametrize("row_block", [1, 7, 64, None])
+@pytest.mark.parametrize("params", _row_instances())
+def test_rows_off_one_term_table_equal_single_rows(monkeypatch, params, row_block):
+    """Every row of the blocked table is the single-row pass's floats and
+    signs, whatever the block size (None: the default)."""
+    import isingchain.transfer as transfer_mod
+
+    if row_block is not None:
+        monkeypatch.setattr(transfer_mod, "ROW_BLOCK", row_block)
+    n = params.n_sites
+    rows = list(log_abs_covariance_rows(params))
+    assert len(rows) == n - 1
+    for i, (logs, negatives) in enumerate(rows):
+        want_logs, want_negatives = log_abs_covariance_row(params, i, n - 1)
+        assert np.array(logs).tobytes() == want_logs.tobytes()
+        assert negatives == want_negatives.tolist()
+
+
+def test_covariance_terms_are_elementwise():
+    # a window's terms are the whole chain's terms at the same sites, so a
+    # single pair, a row and the all-pairs table read the same floats
+    params = random_params(np.random.default_rng(84), 300, -1e3, 1e3, -1e3, 1e3)
+    adjacent, interior, negative = _covariance_terms(params, 0, 299)
+    for i, stop in ((0, 1), (5, 6), (17, 250), (100, 299), (298, 299)):
+        a, b, c = _covariance_terms(params, i, stop)
+        assert a.tobytes() == adjacent[i:stop].tobytes()
+        assert b.tobytes() == interior[i : stop - 1].tobytes()
+        assert (c ^ (negative[i - 1] if i else False)).tolist() == negative[
+            i:stop
+        ].tolist()
+
+
+def test_sweep_arrays_are_read_only():
+    sweep = random_params(np.random.default_rng(85), 6).sweep
+    for values in (sweep.left_fields, sweep.right_fields, sweep.site_fields, sweep.means):
+        assert values.dtype == np.float64 and len(values) == 6
+        with pytest.raises(ValueError):
+            values[0] = 0.0

@@ -133,8 +133,17 @@ class TestSampling:
         lat, gho = sample_current_batch(p, seed=11, count=1)
         assert lat.tolist() == [[3, 1]] and gho.tolist() == [[0, 0, 3]]
 
+    # 65537 and 131075 span several chunks and end mid-chunk; the _CHUNK cases
+    # sit on the first chunk boundaries.
     @pytest.mark.parametrize(
-        "m, n", [(1, 4), (100, _CHUNK + 1), (_CHUNK + 1, 2 * _CHUNK + 3)]
+        "m, n",
+        [
+            (1, 4),
+            (100, 65537),
+            (65537, 131075),
+            (100, _CHUNK + 1),
+            (_CHUNK + 1, 2 * _CHUNK + 3),
+        ],
     )
     def test_rows_do_not_depend_on_count(self, m, n):
         p = ChainParams((1.0, -0.5), (0.7, 0.0, 12.0))

@@ -15,31 +15,37 @@ format fixes (columns thm1, thm2, lemma3, zero_field):
 
 All products are accumulated in log domain. The per-edge factor
 4 tanh(J) / (1 + tanh(J))^2 is evaluated as 1 - exp(-4J), which is the same
-quantity exactly and keeps precision near 1 for strong couplings.
+quantity exactly and keeps precision near 1 for strong couplings; the
+adjacent covariance shares that closed form (transfer._log_edge_factor).
 
-Like the covariance (transfer.py), every window sum a bound needs is a running
-sum over one outward pass from the left site i (``_window_sums``), so
-``compare_row`` and ``decay_rates`` cost O(1) per right end j, and a single
-pair runs the same pass up to j.
+Every window sum a bound needs is read the way a covariance is (transfer.py):
+numpy term columns over a window [i, stop) only, the log edge factor and
+log tanh J per edge and h and |h| per site, summed by transfer._row_sums in
+index order. A pair, a row (``compare_row``, ``decay_rates``) and a block
+of rows (``sweep --pairs all``, which sums the covariance columns and the
+bound columns of a block of left sites in one pass) therefore read the same
+floats. The field sums S and T are recursive sums, off the exact sums by at
+most gamma_{j-i} sum |h| (Higham 2002, sec. 4.2). thm1 and thm2 are each one
+array expression over the sums and the sweep's end fields of a block of
+pairs.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import Iterator
+
+import numpy as np
 
 from .chain import ChainParams, _check_pair, covariance_enum, ENUMERATION_CAP
 from .errors import OracleMismatchError, PreconditionError
-from .numeric import log_cosh
 from .transfer import (
     ChainSweep,
-    _decay_rate,
     _from_log,
-    log_abs_covariance,
-    log_abs_covariance_row,
-    log_abs_covariance_rows,
+    _log_cosh,
+    _log_edge_factor,
+    _row_sums,
     log_partition,
 )
 
@@ -48,21 +54,10 @@ DOMINANCE_TOL = 1e-12
 
 # Wire order of the serialized report columns.
 BOUND_KEYS = ("thm1", "thm2", "lemma3", "zero_field")
-REPORT_COLUMNS = (
-    "i",
-    "j",
-    "exact",
-    "thm1",
-    "thm2",
-    "lemma3",
-    "zero_field",
-    "slack_thm1",
-    "slack_thm2",
-    "slack_lemma3",
-    "slack_zero_field",
-)
+REPORT_COLUMNS = ("i", "j", "exact", *BOUND_KEYS, *(f"slack_{k}" for k in BOUND_KEYS))
 
 _ORACLE_CHECK_TOL = 1e-9
+_LOG4 = math.log(4.0)
 
 
 def _require_ferromagnetic(params: ChainParams) -> None:
@@ -70,87 +65,82 @@ def _require_ferromagnetic(params: ChainParams) -> None:
         raise PreconditionError("this bound needs all couplings >= 0")
 
 
-def _fsum_add(partials: list[float], x: float) -> None:
-    """Add x to an exact sum kept as nonoverlapping partials (Shewchuk 1997).
+def _end_fields(sweep: ChainSweep, i: int, window: np.ndarray) -> list[np.ndarray]:
+    """The end fields of the pairs of a block of rows of a window from site i:
+    each row's left field at its left site, and the right field at each
+    right end."""
+    left = sweep.left_fields[i + window[:, :1]]
+    return [left, sweep.right_fields.take(i + 1 + window, mode="clip")]
 
-    math.fsum(partials) is then the correctly rounded sum of every x added,
-    the same float as math.fsum over those values.
+
+def _bound_blocks(
+    params: ChainParams, i: int, stop: int, rows: int, proof_route: bool,
+    envelope: bool = True,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, np.ndarray]]]:
+    """(window, log |cov|, cov < 0, log bounds) of the pairs from the left
+    sites i .. i + rows - 1 to stop, a block of rows at a time
+    (transfer._row_sums, whose window it yields).
+
+    One pass sums the covariance's columns, the absolute instance's and the
+    bound columns: the log edge factor and log tanh J of each edge, h and
+    |h| of each interior site. The log bounds are keyed by wire label in the
+    order lemma3 (only with ``envelope``), thm1, zero_field, thm2, each where
+    its preconditions hold. thm1 is the edge product times
+    4 exp(-2|S|) / (1 + exp(-2 T))^2 and thm2 the edge product over
+    cosh^2(S), S and T the signed and absolute sums of the window fields:
+    the interior fields and the two effective end fields.
     """
-    n = 0
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            partials[n] = lo
-            n += 1
-        x = hi
-    partials[n:] = [x]
+    instances, edges, sites = [params], [], []
+    if envelope:
+        abs_params = params.absolute()
+        log_ratio = log_partition(abs_params) - log_partition(params)
+        if abs_params is not params:
+            instances.append(abs_params)
+    ferromagnetic = params.is_ferromagnetic()
+    if ferromagnetic:
+        couplings = np.array(params.couplings[i:stop], dtype=np.float64)
+        fields = np.array(params.fields[i + 1 : stop], dtype=np.float64)
+        with np.errstate(divide="ignore"):
+            edges += [_log_edge_factor(couplings), np.log(np.tanh(couplings))]
+        sites += [fields, np.abs(fields)]
+    for window, logs, negatives, edge_sums, site_sums in _row_sums(
+        instances, i, stop, rows, edges, sites
+    ):
+        log_bounds = {}
+        if envelope:
+            # the absolute instance's covariance; the instance's own if the same
+            log_bounds["lemma3"] = logs[-1] + 2.0 * log_ratio
+        if ferromagnetic:
+            (edge, log_tanh), (field_sum, abs_sum) = edge_sums, site_sums
+            a, b = _end_fields(_thm1_sweep(params, proof_route), i, window)
+            s, t = a + field_sum + b, np.abs(a) + abs_sum + np.abs(b)
+            log_field = _LOG4 - 2.0 * np.abs(s) - 2.0 * np.log1p(np.exp(-2.0 * t))
+            log_bounds["thm1"] = edge + log_field
+            log_bounds["zero_field"] = log_tanh
+            if params.has_nonneg_fields():
+                a, b = _end_fields(params.sweep, i, window)
+                log_bounds["thm2"] = edge - 2.0 * _log_cosh(a + field_sum + b)
+        yield window, logs[0], negatives, log_bounds
 
 
-class _WindowSums(NamedTuple):
-    """Window sums of a ferromagnetic chain for every j in (i, stop], entry j - i - 1.
-
-    ``edge``: sum over window edges of log(4 tanh(J)/(1+tanh(J))^2) =
-    log(1-exp(-4J)). ``log_tanh``: sum of log tanh(J). Both are -inf once the
-    window holds a zero coupling. ``interior`` / ``abs_interior``: the
-    correctly rounded sums of h and |h| over the interior sites i+1..j-1.
-    """
-
-    edge: array
-    log_tanh: array
-    interior: array
-    abs_interior: array
-
-
-def _window_sums(params: ChainParams, i: int, stop: int) -> _WindowSums:
-    """One outward pass from i; each running sum adds the same terms in the
-    same order as the window loop of a single pair."""
-    couplings, fields = params.couplings, params.fields
-    sums = _WindowSums(array("d"), array("d"), array("d"), array("d"))
-    edge = log_tanh = 0.0
-    parts: list[float] = []
-    abs_parts: list[float] = []
-    for k in range(i, stop):
-        if k > i:
-            _fsum_add(parts, fields[k])
-            _fsum_add(abs_parts, abs(fields[k]))
-        jk = couplings[k]
-        if jk == 0.0:
-            edge = log_tanh = -math.inf
-        else:
-            edge += math.log(-math.expm1(-4.0 * jk))
-            log_tanh += math.log(math.tanh(jk))
-        sums.edge.append(edge)
-        sums.log_tanh.append(log_tanh)
-        sums.interior.append(math.fsum(parts))
-        sums.abs_interior.append(math.fsum(abs_parts))
-    return sums
-
-
-def _log_signed_field(sums: _WindowSums, i: int, j: int, sweep: ChainSweep) -> float:
-    """log thm1: the edge product times 4 exp(-2|S|) / (1 + exp(-2 T))^2."""
-    k = j - i - 1
-    h_i, h_j = sweep.left_field(i), sweep.right_field(j)
-    s = h_i + sums.interior[k] + h_j
-    t = abs(h_i) + sums.abs_interior[k] + abs(h_j)
-    log_field = math.log(4.0) - 2.0 * abs(s) - 2.0 * math.log1p(math.exp(-2.0 * t))
-    return sums.edge[k] + log_field
-
-
-def _log_nonneg_field(sums: _WindowSums, i: int, j: int, sweep: ChainSweep) -> float:
-    """log thm2: the edge product divided by cosh^2 of the summed fields."""
-    s = sweep.left_field(i) + sums.interior[j - i - 1] + sweep.right_field(j)
-    return sums.edge[j - i - 1] - 2.0 * log_cosh(s)
-
-
-def _abs_envelope(log_cov_abs: float, log_ratio: float) -> float:
-    # In log domain: cov_abs alone can underflow where the product does not.
+def _exp(log_bound: float) -> float:
+    """A bound off its log by math.exp, as transfer._from_log reads the
+    exact covariance, so a bound equal to it in logs equals it here too; inf
+    where lemma3's partition ratio passes the float range."""
     try:
-        return math.exp(log_cov_abs + 2.0 * log_ratio)
+        return math.exp(log_bound)
     except OverflowError:
         return math.inf
+
+
+def _bound(
+    params: ChainParams, i: int, j: int, key: str, proof_route: bool = False
+) -> float:
+    """One bound of the pair (i, j): the last entry of the row to j."""
+    ((_, _, _, log_bounds),) = _bound_blocks(
+        params, i, j, 1, proof_route, envelope=key == "lemma3"
+    )
+    return _exp(log_bounds[key].item(-1))
 
 
 def _thm1_sweep(params: ChainParams, proof_route: bool) -> ChainSweep:
@@ -161,7 +151,7 @@ def bound_zero_field(params: ChainParams, i: int, j: int) -> float:
     """prod_{x in [i,j)} tanh(J_x); dominates the covariance under any field."""
     i, j = _check_pair(params, i, j, "bound_zero_field", ordered=True)
     _require_ferromagnetic(params)
-    return math.exp(_window_sums(params, i, j).log_tanh[-1])
+    return _bound(params, i, j, "zero_field")
 
 
 def bound_nonneg_field(params: ChainParams, i: int, j: int) -> float:
@@ -174,7 +164,7 @@ def bound_nonneg_field(params: ChainParams, i: int, j: int) -> float:
     _require_ferromagnetic(params)
     if not params.has_nonneg_fields():
         raise PreconditionError("bound_nonneg_field needs all fields >= 0")
-    return math.exp(_log_nonneg_field(_window_sums(params, i, j), i, j, params.sweep))
+    return _bound(params, i, j, "thm2")
 
 
 def bound_signed_field(
@@ -190,8 +180,7 @@ def bound_signed_field(
     """
     i, j = _check_pair(params, i, j, "bound_signed_field", ordered=True)
     _require_ferromagnetic(params)
-    sums = _window_sums(params, i, j)
-    return math.exp(_log_signed_field(sums, i, j, _thm1_sweep(params, proof_route)))
+    return _bound(params, i, j, "thm1", proof_route)
 
 
 def bound_abs_envelope(params: ChainParams, i: int, j: int) -> float:
@@ -202,9 +191,7 @@ def bound_abs_envelope(params: ChainParams, i: int, j: int) -> float:
     float range.
     """
     i, j = _check_pair(params, i, j, "bound_abs_envelope", ordered=True)
-    abs_params = params.absolute()
-    log_cov_abs, _ = log_abs_covariance(abs_params, i, j)
-    return _abs_envelope(log_cov_abs, log_partition(abs_params) - log_partition(params))
+    return _bound(params, i, j, "lemma3")
 
 
 def decay_rates(
@@ -215,21 +202,17 @@ def decay_rates(
     The rate is finite_decay_rate(params, i, j), None where cov <= 0; the
     bound rate is -log bound_signed_field(params, i, j) / (j - i), inf where
     the bound is 0. Both are read off logs, so they stay finite where the
-    covariance or the bound underflows, and both come from one outward pass
-    from i: O(stop - i) in all.
+    covariance or the bound underflows, and both come from one row from i:
+    O(stop - i) in all.
     """
     i, stop = _check_pair(params, i, stop, "decay_rates", ordered=True)
     _require_ferromagnetic(params)
-    logs, negatives = (v.tolist() for v in log_abs_covariance_row(params, i, stop))
-    sums = _window_sums(params, i, stop)
-    sweep = _thm1_sweep(params, proof_route)
-    return [
-        (
-            _decay_rate(logs[k], negatives[k], j - i),
-            -_log_signed_field(sums, i, j, sweep) / (j - i),
-        )
-        for k, j in enumerate(range(i + 1, stop + 1))
-    ]
+    ((_, logs, negatives, log_bounds),) = _bound_blocks(
+        params, i, stop, 1, proof_route, envelope=False
+    )
+    distances = np.arange(1, stop - i + 1)
+    rates = np.where(negatives | (logs == -math.inf), None, -logs / distances)
+    return list(zip(rates[0].tolist(), (-log_bounds["thm1"][0] / distances).tolist()))
 
 
 def partition_ratio_lower(params: ChainParams) -> tuple[float, float]:
@@ -295,7 +278,8 @@ def compare(
     raised as a bug, not reported.
     """
     i, j = _check_pair(params, i, j, "compare")
-    return _reports(params, i, j, *_rows(params, i, j), proof_route)[0]
+    ((report,),) = _reports(params, i, j, 1, proof_route, first=j)
+    return report
 
 
 def compare_row(
@@ -303,86 +287,55 @@ def compare_row(
 ) -> list[BoundReport]:
     """compare(params, i, j) for every site j > i, in order of j.
 
-    One outward pass from i per summed quantity (the covariance, the absolute
-    instance's covariance, the bound sums), so a row costs O(N - i) and a
-    report O(1) after it; the reports equal compare's, and the oracle check
-    runs on every pair.
+    One row of sums from i serves every pair, so a row costs O(N - i) numpy
+    work and a report O(1) after it; the reports equal compare's, and the
+    oracle check runs on every pair.
     """
     i, stop = _check_pair(params, i, params.n_sites - 1, "compare_row", ordered=True)
-    return _reports(params, i, i + 1, *_rows(params, i, stop), proof_route)
+    (reports,) = _reports(params, i, stop, 1, proof_route)
+    return reports
 
 
 def _report_rows(params: ChainParams, proof_route: bool) -> Iterator[list[BoundReport]]:
-    """compare_row(params, i) for every left site i, in row order.
-
-    The covariance rows come off one term pass over the whole chain
-    (log_abs_covariance_rows), and one more for the absolute instance.
-    """
-    rows = log_abs_covariance_rows(params)
-    abs_params = params.absolute()
-    abs_rows = None if abs_params is params else log_abs_covariance_rows(abs_params)
-    for i, row in enumerate(rows):
-        abs_logs = row[0] if abs_rows is None else next(abs_rows)[0]
-        yield _reports(params, i, i + 1, row, abs_logs, proof_route)
-
-
-# A covariance row as lists: (log |cov|, cov < 0) for each right end.
-_Row = tuple[list[float], list[bool]]
-
-
-def _rows(params: ChainParams, i: int, stop: int) -> tuple[_Row, list[float]]:
-    """The covariance row (log |cov|, cov < 0) from i to stop, and the log
-    |cov| row of the absolute instance, which is the same when
-    ``params.absolute() is params``."""
-    logs, negatives = log_abs_covariance_row(params, i, stop)
-    row = logs.tolist(), negatives.tolist()
-    abs_params = params.absolute()
-    if abs_params is params:
-        return row, row[0]
-    return row, log_abs_covariance_row(abs_params, i, stop)[0].tolist()
+    """compare_row(params, i) for every left site i, in row order: one term
+    pass over the whole chain, its rows summed a block at a time."""
+    return _reports(params, 0, params.n_edges, params.n_edges, proof_route)
 
 
 def _reports(
-    params: ChainParams, i: int, first: int, row: _Row, abs_logs: list[float],
-    proof_route: bool,
-) -> list[BoundReport]:
-    """Reports of the pairs (i, j), j = first .. stop, from the covariance row
-    (i, stop] of the instance, the log |cov| row of its absolute instance, and
-    one outward pass of the bound sums from i to stop.
-
-    The instance-wide checks and the partition ratio run once for all the
-    pairs.
+    params: ChainParams, i: int, stop: int, rows: int, proof_route: bool,
+    first: int = 0,
+) -> Iterator[list[BoundReport]]:
+    """Reports of the pairs (r, j), j = max(first, r + 1) .. stop, for the
+    left sites r = i .. i + rows - 1, a list per row, from one _bound_blocks
+    pass. Each pair gets its BoundReport and, below the enumeration cap, its
+    oracle check.
     """
-    logs, negatives = row
-    stop = i + len(logs)
-    abs_params = params.absolute()
-    log_ratio = log_partition(abs_params) - log_partition(params)
-    ferromagnetic = params.is_ferromagnetic()
-    nonneg = ferromagnetic and params.has_nonneg_fields()
-    if ferromagnetic:
-        sums = _window_sums(params, i, stop)
-        thm1_sweep = _thm1_sweep(params, proof_route)
     check_oracle = params.n_sites <= ENUMERATION_CAP
-    reports = []
-    for j in range(first, stop + 1):
-        k = j - i - 1
-        exact = _from_log(logs[k], negatives[k])
-        if check_oracle:
-            check = covariance_enum(params, i, j)
-            if not math.isfinite(check) or abs(check - exact) > _ORACLE_CHECK_TOL:
-                raise OracleMismatchError(
-                    f"solver covariance {exact!r} vs enumeration {check!r} "
-                    f"at ({i}, {j})"
+    for window, logs, negatives, log_bounds in _bound_blocks(
+        params, i, stop, rows, proof_route
+    ):
+        for r, row_logs, row_negatives, *row_bounds in zip(
+            (i + window[:, 0]).tolist(), logs.tolist(), negatives.tolist(),
+            *(values.tolist() for values in log_bounds.values()),
+        ):
+            reports = []
+            for j in range(max(first, r + 1), stop + 1):
+                k = j - r - 1
+                exact = _from_log(row_logs[k], row_negatives[k])
+                if check_oracle:
+                    check = covariance_enum(params, r, j)
+                    if not math.isfinite(check) or abs(check - exact) > _ORACLE_CHECK_TOL:
+                        raise OracleMismatchError(
+                            f"solver covariance {exact!r} vs enumeration {check!r} "
+                            f"at ({r}, {j})"
+                        )
+                values = {key: _exp(row[k]) for key, row in zip(log_bounds, row_bounds)}
+                slacks = {
+                    key: bound - (abs(exact) if key == "lemma3" else exact)
+                    for key, bound in values.items()
+                }
+                reports.append(
+                    BoundReport(i=r, j=j, exact=exact, bounds=values, slacks=slacks)
                 )
-        bounds = {"lemma3": _abs_envelope(abs_logs[k], log_ratio)}
-        if ferromagnetic:
-            bounds["thm1"] = math.exp(_log_signed_field(sums, i, j, thm1_sweep))
-            bounds["zero_field"] = math.exp(sums.log_tanh[k])
-            if nonneg:
-                bounds["thm2"] = math.exp(_log_nonneg_field(sums, i, j, params.sweep))
-        slacks = {
-            key: bound - (abs(exact) if key == "lemma3" else exact)
-            for key, bound in bounds.items()
-        }
-        reports.append(BoundReport(i=i, j=j, exact=exact, bounds=bounds, slacks=slacks))
-    return reports
+            yield reports

@@ -26,6 +26,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 from operator import itemgetter
 from typing import Any, Iterable, Sequence
@@ -55,16 +56,25 @@ def _emit(
     rows: Iterable[Sequence[Any]],
 ) -> None:
     """Write a subcommand's result to stdout: ``record`` as indented JSON for
-    ``--out json``, else the CSV table of ``columns`` over ``rows``."""
+    ``--out json``, else the CSV table of ``columns`` over ``rows``.
+
+    A reader that closes the pipe early (``| head``) ends the output, not the
+    command: stdout then points at os.devnull, so the flush at exit cannot
+    fail again, and the command returns the verdict it has already reached.
+    """
     out = sys.stdout
-    if args.out == "json":
-        out.write(json.dumps(record, indent=2) + "\n")
-        return
-    out.write(",".join(columns) + "\n")
-    for row in rows:
-        out.write(
-            ",".join(v if isinstance(v, str) else format_cell(v) for v in row) + "\n"
-        )
+    try:
+        if args.out == "json":
+            out.write(json.dumps(record, indent=2) + "\n")
+        else:
+            for row in itertools.chain([columns], rows):
+                cells = (v if isinstance(v, str) else format_cell(v) for v in row)
+                out.write(",".join(cells) + "\n")
+        out.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
 
 
 def _read_text(path: str) -> str:

@@ -17,7 +17,7 @@ from typing import Any
 import numpy as np
 
 from .chain import ChainParams, _check_integer
-from .errors import ParseError, PreconditionError
+from .errors import CapacityError, ParseError, PreconditionError
 
 # Seeds are integers in [0, SEED_LIMIT).
 SEED_LIMIT = 2**63
@@ -156,8 +156,17 @@ class InstanceSpec:
             raise ParseError(str(exc)) from exc
 
 
+def _check_array_size(size: int, name: str) -> None:
+    """Refuse, before numpy allocates, a size no 8-byte array can index
+    (numpy indexes bytes with np.intp); a smaller size that memory cannot
+    hold fails as a MemoryError."""
+    if size > np.iinfo(np.intp).max // 8:
+        raise CapacityError(f"{name} {size} exceeds the largest array numpy can index")
+
+
 def generate_instance(spec: InstanceSpec, seed: int) -> ChainParams:
     """Draw one chain from the spec; a pure function of (spec, seed)."""
+    _check_array_size(spec.n_sites, "n_sites")
     rng = np.random.default_rng(seed)
     n_edges = spec.n_sites - 1
     couplings = spec.coupling_dist.draw(rng, n_edges)
@@ -175,5 +184,6 @@ def instance_seeds(root_seed: int, count: int) -> list[int]:
     """Per-instance seeds derived from one root seed."""
     if count < 0:
         raise PreconditionError("count must be nonnegative")
+    _check_array_size(count, "count")
     rng = np.random.default_rng(root_seed)
     return [int(s) for s in rng.integers(0, SEED_LIMIT - 1, size=count)]

@@ -31,16 +31,19 @@ A covariance from a left site i sums per-site log terms (below): the
 adjacent log covariance of every window edge and 2 log cosh f_k of every
 interior site k. _covariance_terms computes them as arrays over a window
 [i, stop) only, with the parity of the negative couplings, in O(stop - i)
-numpy work, whatever N is. log_abs_covariance_row reads log |cov(i, j)| for
-every j up to stop as np.cumsum of those arrays: cumsum is add.accumulate,
-which adds in index order, so entry j - i - 1 is the same running sum as a
-loop over j = i+1, i+2, ... would give (Higham 2002, sec. 4.2: the error of
-a recursive sum depends on the order, so keeping it keeps the error bound).
-A single pair runs the same pass with stop = j and reads its last entry, so
-both give the same floats; the terms are elementwise, so they do not depend
-on the window either. log_abs_covariance_rows serves every left site of a
-chain off one term pass, summing a block of rows at a time as a 2-D cumsum
-over the terms gathered row by row.
+numpy work, whatever N is. _row_sums is the one routine that sums term
+columns over a window: for a block of left sites r at once, it gathers
+every column from r on and takes a 2-D np.cumsum along the row, which gives
+the sum over every pair (r, j) up to stop. It always sums the covariance
+terms of the instances it is given, and sums any further columns in the
+same pass (the bounds' edge factors and field sums, bounds.py). cumsum is
+add.accumulate, which adds in index order, so entry j - r - 1 of a row is
+the same running sum as a loop over j = r+1, r+2, ... would give (Higham
+2002, sec. 4.2: the error of a recursive sum depends on the order, so
+keeping it keeps the error bound). A single pair and log_abs_covariance_row
+are its one-row case, log_abs_covariance_rows and sweep --pairs all its
+all-rows case, so all of them give the same floats; the terms are
+elementwise, so they do not depend on the window either.
 
 The covariance is NOT computed as pair_expectation minus the product of site
 means: that difference cancels catastrophically once the covariance is
@@ -298,6 +301,13 @@ def _log_cosh(x: np.ndarray) -> np.ndarray:
     return ax + np.log1p(np.exp(-2.0 * ax)) - _LOG2
 
 
+def _log_edge_factor(abs_j: np.ndarray) -> np.ndarray:
+    """log(1 - exp(-4|J|)) = log(4 tanh|J| / (1 + tanh|J|)^2) elementwise, -inf
+    at J = 0: the numerator of the adjacent covariance and the bounds' edge
+    factor. The exp form keeps precision near 1 for strong couplings."""
+    return np.log(-np.expm1(-4.0 * abs_j))
+
+
 def _covariance_terms(
     params: ChainParams, i: int, stop: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -326,7 +336,7 @@ def _covariance_terms(
         q = log_cosh[m : 2 * m] - 2.0 * jk
         top = np.maximum(p, q)
         log_den = top + np.log1p(np.exp(np.minimum(p, q) - top))
-        adjacent = np.log(-np.expm1(-4.0 * jk)) - 2.0 * log_den
+        adjacent = _log_edge_factor(jk) - 2.0 * log_den
     interior = 2.0 * log_cosh[2 * m :]
     return adjacent, interior, np.logical_xor.accumulate(flip)
 
@@ -336,63 +346,75 @@ def log_abs_covariance_row(
 ) -> tuple[np.ndarray, np.ndarray]:
     """log_abs_covariance(params, i, j) for every j in (i, stop], entry j - i - 1.
 
-    Two running sums over the window's terms (_covariance_terms), the
-    adjacent log covariances and the interior log variances. np.cumsum runs
-    add.accumulate, which adds in index order, so a single pair, which reads
-    the last entry of the row to it, gets the same floats. Every entry past a
-    zero coupling is (-inf, False).
+    The one-row case of _row_sums: a single pair, which reads the last
+    entry of the row to it, gets the same floats. Every entry past a zero
+    coupling is (-inf, False).
     """
-    adjacent, interior, negative = _covariance_terms(params, i, stop)
-    logs = np.cumsum(adjacent)
-    logs[1:] += np.cumsum(interior)
-    return logs, negative & (logs > -math.inf)
-
-
-# Entries per block of rows that log_abs_covariance_rows sums at once.
-ROW_BLOCK = 1 << 15
+    ((_, (logs,), negatives, _, _),) = _row_sums([params], i, stop, 1)
+    return logs[0], negatives[0]
 
 
 def log_abs_covariance_rows(
     params: ChainParams,
 ) -> Iterator[tuple[list[float], list[bool]]]:
     """log_abs_covariance_row(params, i, N - 1) for i = 0 .. N - 2, in order,
-    as lists.
-
-    One term pass over the whole chain serves every row; each row is summed
-    from its own left site, as a row of a 2-D cumsum over the terms gathered
-    from that site on, so it is the same floats as log_abs_covariance_row.
-    Rows are summed in blocks of about ROW_BLOCK entries, which bounds the
-    memory.
-    """
+    as lists, off one term pass over the whole chain."""
     n = params.n_edges
-    adjacent, interior, negative = _covariance_terms(params, 0, n)
-    # padded so every row of a block is full length; entry k of the interior
-    # pad is site k's term, entry i of `before` the parity of the negative
-    # couplings left of site i
-    adjacent = np.concatenate([adjacent, np.zeros(n)])
-    interior = np.concatenate([[0.0], interior, np.zeros(n)])
-    before = np.concatenate([[False], negative[:-1]])
-    negative = np.concatenate([negative, np.zeros(n, dtype=bool)])
-    start = 0
-    while start < n:
-        width = n - start
-        stop = min(n, start + max(1, ROW_BLOCK // width))
-        # window k of row i is edge (and interior site) i + k
-        window = np.arange(start, stop)[:, None] + np.arange(width)
-        logs = np.cumsum(adjacent[window], axis=1)
-        logs[:, 1:] += np.cumsum(interior[window[:, 1:]], axis=1)
-        negatives = negative[window] ^ before[start:stop, None]
-        negatives &= logs > -math.inf
-        for i, row, signs in zip(range(start, stop), logs.tolist(), negatives.tolist()):
+    for window, (logs,), negatives, _, _ in _row_sums([params], 0, n, n):
+        for i, row, signs in zip(window[:, 0].tolist(), logs.tolist(), negatives.tolist()):
             yield row[: n - i], signs[: n - i]
-        start = stop
 
 
-def _decay_rate(log_abs: float, negative: bool, distance: int) -> float | None:
-    """-log cov / distance, read off log |cov|; None when cov <= 0."""
-    if negative or log_abs == -math.inf:
-        return None
-    return -log_abs / distance
+# Entries per column in a block of rows that _row_sums sums at once.
+ROW_BLOCK = 1 << 15
+
+
+def _row_sums(
+    instances: Sequence[ChainParams], i: int, stop: int, rows: int,
+    edges: Sequence[np.ndarray] = (), sites: Sequence[np.ndarray] = (),
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """Running sums of term columns over the window [i, stop] from each of
+    its first ``rows`` left sites, a block of rows at a time: the covariance
+    terms of each instance (_covariance_terms) and any further columns.
+
+    Entry x of an edge column is a term of edge i + x, x < stop - i; entry x
+    of a site column a term of the interior site i + 1 + x. Row r sums from
+    left site i + r: its entry k is the sum over the edges i + r .. i + r + k,
+    or over the sites i + r + 1 .. i + r + k, in index order, which is the
+    sum over the pair (i + r, i + r + k + 1). Yields (window, log |cov|,
+    cov < 0, edge sums, site sums) for each block: window[b, k] = r + k for
+    the block's rows r; the logs of each instance and the signs of the first
+    (the parity of the negative couplings on the pair's edges); and the sums
+    of the further columns, sums[c, b, k]. Entries with r + k >= stop - i lie
+    past the row's end and hold no sum.
+
+    A block is a 2-D np.cumsum over the terms gathered row by row (a site
+    column's term at the row's own left site set to 0), of about ROW_BLOCK
+    entries per column, which bounds the memory. cumsum runs add.accumulate,
+    which adds in index order, so a row is the same floats whichever block
+    holds it: a single pair, a row and all rows agree.
+    """
+    terms = [_covariance_terms(params, i, stop) for params in instances]
+    parity = np.concatenate(([False], terms[0][2]))
+    edges = [t[0] for t in terms] + list(edges)
+    sites = [t[1] for t in terms] + list(sites)
+    n, n_edges, m = len(terms), len(edges), stop - i
+    table = np.zeros((n_edges + len(sites), m))
+    table[:n_edges] = edges
+    table[n_edges:, 1:] = sites
+    start = 0
+    while start < rows:
+        width = m - start
+        end = min(rows, start + max(1, ROW_BLOCK // width))
+        window = np.arange(start, end)[:, None] + np.arange(width)
+        block = table.take(window, axis=1, mode="clip")
+        block[n_edges:, :, 0] = 0.0
+        sums = np.cumsum(block, axis=2)
+        logs = sums[:n] + sums[n_edges : n_edges + n]
+        negatives = parity.take(window + 1, mode="clip") ^ parity[window[:, :1]]
+        negatives &= logs[0] > -math.inf
+        yield window, logs, negatives, sums[n:n_edges], sums[n_edges + n :]
+        start = end
 
 
 def finite_decay_rate(params: ChainParams, i: int, j: int) -> float:
@@ -402,10 +424,9 @@ def finite_decay_rate(params: ChainParams, i: int, j: int) -> float:
     """
     i, j = _check_pair(params, i, j, "finite_decay_rate", ordered=True)
     log_abs, negative = log_abs_covariance(params, i, j)
-    rate = _decay_rate(log_abs, negative, j - i)
-    if rate is None:
+    if negative or log_abs == -math.inf:
         raise DecayRateUndefinedError(
             f"covariance {_from_log(log_abs, negative)!r} at pair ({i}, {j}) "
             "is not positive"
         )
-    return rate
+    return -log_abs / (j - i)

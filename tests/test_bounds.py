@@ -24,11 +24,13 @@ from isingchain.bounds import (
     DOMINANCE_TOL,
     REPORT_COLUMNS,
     BoundReport,
+    _bound_blocks,
     _report_rows,
-    _fsum_add,
     decay_rates,
     format_cell,
 )
+
+from isingchain.numeric import log_cosh
 
 from conftest import random_params
 
@@ -387,15 +389,88 @@ class TestCompareRow:
                 assert format_cell(report.exact) == "0"
 
 
-def test_running_fsum_equals_fsum_of_every_prefix():
-    # the bounds' field sums must stay the correctly rounded window sums
-    rng = np.random.default_rng(103)
-    values = rng.uniform(-1e3, 1e3, 300) * 10.0 ** rng.integers(-20, 1, 300)
-    values[::7] = -values[::7] + 1e-16
-    partials = []
-    for k, x in enumerate(values.tolist()):
-        _fsum_add(partials, x)
-        assert math.fsum(partials) == math.fsum(values[: k + 1].tolist())
+UNIT_ROUNDOFF = 2.0**-53
+
+# The bounds' window sums are recursive sums in index order, no longer
+# correctly rounded. Against references from math functions and math.fsum
+# over the same terms, each log bound is within BOUND_SUM_GATE units of
+# roundoff of its scale (reference_log_bounds). Worst seen on 2000-site
+# ferromagnets with J ~ U(0, 3), seeds 0-5: 25.6 for thm1 and thm2 with
+# h ~ U(0, 1e3), 2.4 for thm1 with h ~ U(-1e3, 1e3), 9.2 for zero_field.
+BOUND_SUM_GATE = 64.0
+
+
+def reference_log_bounds(params, i, j):
+    """(log bounds, gate scales) of the pair (i, j) for thm1, thm2 and
+    zero_field, from math functions and math.fsum over the window terms.
+
+    A scale sums the magnitudes of the bound's per-edge log terms, each
+    counted as at least 1 (a log of a factor near 1 is off by about u
+    absolute), and for thm1 and thm2 adds 2 sum |h| over the interior and
+    the magnitudes of the two end fields.
+    """
+    sweep = params.sweep
+    a, b = sweep.left_field(i), sweep.right_field(j)
+    couplings, interior = params.couplings[i:j], params.fields[i + 1 : j]
+    edge_terms = [math.log(-math.expm1(-4.0 * x)) for x in couplings]
+    tanh_terms = [math.log(math.tanh(x)) for x in couplings]
+    s = math.fsum([a, *interior, b])
+    t = math.fsum([abs(a), *map(abs, interior), abs(b)])
+    edge = math.fsum(edge_terms)
+    log_field = math.log(4.0) - 2.0 * abs(s) - 2.0 * math.log1p(math.exp(-2.0 * t))
+    field_scale = (
+        math.fsum(max(1.0, abs(x)) for x in edge_terms)
+        + 2.0 * math.fsum(map(abs, interior))
+        + abs(a)
+        + abs(b)
+    )
+    logs = {
+        "thm1": edge + log_field,
+        "thm2": edge - 2.0 * log_cosh(s),
+        "zero_field": math.fsum(tanh_terms),
+    }
+    scales = {
+        "thm1": field_scale,
+        "thm2": field_scale,
+        "zero_field": math.fsum(max(1.0, abs(x)) for x in tanh_terms),
+    }
+    return logs, scales
+
+
+class TestBoundSumRounding:
+    ROWS = (0, 611, 1500)
+
+    @pytest.mark.parametrize("h_low", [-1e3, 0.0])
+    def test_log_bounds_within_gate(self, h_low):
+        params = ferro_params(np.random.default_rng(107), 2000, h_low, 1e3)
+        n = params.n_sites
+        rows = {i: compare_row(params, i) for i in self.ROWS}
+        # every left site's row off the all-pairs pass, a block at a time
+        blocks = {}
+        for window, _, _, log_bounds in _bound_blocks(params, 0, n - 1, n - 1, False):
+            for r, i in enumerate(window[:, 0].tolist()):
+                if i in self.ROWS:
+                    blocks[i] = {k: v[r] for k, v in log_bounds.items()}
+        rates = decay_rates(params, 0, n - 1)
+        for i in self.ROWS:
+            for j in range(i + 1, n, 7):
+                k = j - i - 1
+                logs, scales = reference_log_bounds(params, i, j)
+                for key, ref in logs.items():
+                    if key == "thm2" and h_low < 0.0:
+                        assert key not in rows[i][k].bounds
+                        continue
+                    gate = BOUND_SUM_GATE * UNIT_ROUNDOFF * scales[key]
+                    assert abs(blocks[i][key][k] - ref) <= gate
+                    value = rows[i][k].bounds[key]
+                    if ref > -700.0:
+                        tol = gate + 4.0 * UNIT_ROUNDOFF * max(1.0, abs(ref))
+                        assert abs(math.log(value) - ref) <= tol
+                    else:
+                        assert value < 1e-300
+                    if key == "thm1" and i == 0:
+                        tol = gate + 4.0 * UNIT_ROUNDOFF * abs(ref)
+                        assert abs(-rates[k][1] * j - ref) <= tol
 
 
 class TestDecayRates:

@@ -768,6 +768,28 @@ class TestInputValidation:
         assert err.startswith("error: ") and "Unable to allocate" in err
         assert "Traceback" not in err
 
+    # past np.iinfo(np.intp).max // 8, where numpy raises ValueError, not
+    # MemoryError, for an 8-byte array
+    HUGE = 10**20
+
+    @pytest.mark.parametrize(
+        "command",
+        [("exact",), ("decay",), ("sweep",), ("mc", "--i", "0", "--j", "1")],
+    )
+    def test_spec_size_past_numpy_index_range_exits_3(self, capsys, tmp_path, command):
+        spec = write_json(tmp_path, "spec.json", {"n_sites": self.HUGE, "seed": 1})
+        code, out, err = run(capsys, command[0], "--spec", spec, *command[1:])
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv", [("decay", "--n-sites", str(HUGE)), ("sweep", "--count", str(HUGE))]
+    )
+    def test_flag_size_past_numpy_index_range_exits_3(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--seed", "1")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestParameterRange:
     """|J|, |h| <= PARAM_LIMIT: an instance file past it exits 2, a spec draw 3."""
@@ -877,15 +899,35 @@ class TestExitCodeContract:
 
 
 class TestModuleEntryPoint:
-    def test_python_dash_m(self):
+    @staticmethod
+    def child_env():
         # the child imports the same package as this process, installed or not
         package_root = str(Path(isingchain.__file__).resolve().parent.parent)
         path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        return {**os.environ, "PYTHONPATH": path}
+
+    def test_python_dash_m(self):
         proc = subprocess.run(
             [sys.executable, "-m", "isingchain", "--help"],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": path},
+            env=self.child_env(),
         )
         assert proc.returncode == 0
         assert "exact" in proc.stdout and "decay" in proc.stdout
+
+    def test_reader_closing_the_pipe_early(self):
+        # as `decay ... | head -1`: the output is far larger than a pipe
+        # buffer, so the command is still writing when the reader leaves
+        argv = ["decay", "--n-sites", "10000", "--seed", "1"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "isingchain", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=self.child_env(),
+        ) as proc:
+            assert proc.stdout.readline() == b"distance,rate,bound_rate,flag\n"
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=60) == 0
+        assert "Traceback" not in err and "Exception ignored" not in err

@@ -28,17 +28,26 @@ floats. The field sums S and T are recursive sums, off the exact sums by at
 most gamma_{j-i} sum |h| (Higham 2002, sec. 4.2). thm1 and thm2 are each one
 array expression over the sums and the sweep's end fields of a block of
 pairs.
+
+Reports are evaluated as columns too (_report_columns): for a block of
+pairs, the exact covariances and the bounds come off their logs by math.exp
+per pair, so they are the floats a single covariance or bound call gives,
+and the slacks, violation flags and oracle check are array expressions.
+sweep reads the columns directly; compare and compare_row build their
+BoundReports from them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 
-from .chain import ChainParams, _check_pair, covariance_enum, ENUMERATION_CAP
+from .chain import ChainParams, _check_pair, ENUMERATION_CAP
 from .errors import OracleMismatchError, PreconditionError
 from .transfer import (
     ChainSweep,
@@ -278,7 +287,7 @@ def compare(
     raised as a bug, not reported.
     """
     i, j = _check_pair(params, i, j, "compare")
-    ((report,),) = _reports(params, i, j, 1, proof_route, first=j)
+    ((report,),) = _reports(_report_columns(params, i, j, 1, proof_route, first=j))
     return report
 
 
@@ -292,50 +301,70 @@ def compare_row(
     oracle check runs on every pair.
     """
     i, stop = _check_pair(params, i, params.n_sites - 1, "compare_row", ordered=True)
-    (reports,) = _reports(params, i, stop, 1, proof_route)
+    (reports,) = _reports(_report_columns(params, i, stop, 1, proof_route))
     return reports
 
 
 def _report_rows(params: ChainParams, proof_route: bool) -> Iterator[list[BoundReport]]:
     """compare_row(params, i) for every left site i, in row order: one term
     pass over the whole chain, its rows summed a block at a time."""
-    return _reports(params, 0, params.n_edges, params.n_edges, proof_route)
+    n = params.n_edges
+    return _reports(_report_columns(params, 0, n, n, proof_route))
 
 
-def _reports(
+ReportColumns = namedtuple("ReportColumns", "i j exact bounds slacks violated")
+
+
+def _reports(blocks: Iterator[ReportColumns]) -> Iterator[list[BoundReport]]:
+    """The pairs of _report_columns' blocks as BoundReports, a list per left
+    site."""
+    for block in blocks:
+        bounds = [dict(zip(block.bounds, b)) for b in zip(*block.bounds.values())]
+        slacks = [dict(zip(block.slacks, s)) for s in zip(*block.slacks.values())]
+        reports = map(BoundReport, block.i, block.j, block.exact, bounds, slacks)
+        for _, row in itertools.groupby(reports, lambda report: report.i):
+            yield list(row)
+
+
+def _report_columns(
     params: ChainParams, i: int, stop: int, rows: int, proof_route: bool,
     first: int = 0,
-) -> Iterator[list[BoundReport]]:
-    """Reports of the pairs (r, j), j = max(first, r + 1) .. stop, for the
-    left sites r = i .. i + rows - 1, a list per row, from one _bound_blocks
-    pass. Each pair gets its BoundReport and, below the enumeration cap, its
-    oracle check.
+) -> Iterator[ReportColumns]:
+    """The reports of the pairs (r, j), j = max(first, r + 1) .. stop, for the
+    left sites r = i .. i + rows - 1, as columns of Python values in row
+    order, a block of rows at a time off one _bound_blocks pass.
+
+    A block holds the sites i and j, the exact covariances, each applicable
+    bound and its slack as dicts keyed by wire label in _bound_blocks' order,
+    and ``violated``, 1 where a slack is below -DOMINANCE_TOL, else 0. The
+    exact covariance comes off its log through _from_log and each bound
+    through _exp, both math.exp per pair, so they are the floats of a single
+    covariance or bound call; slacks and flags are array expressions. Below
+    the enumeration cap every pair is checked against the oracle's
+    covariance matrix, and the first mismatch in row order raises.
     """
-    check_oracle = params.n_sites <= ENUMERATION_CAP
-    for window, logs, negatives, log_bounds in _bound_blocks(
-        params, i, stop, rows, proof_route
-    ):
-        for r, row_logs, row_negatives, *row_bounds in zip(
-            (i + window[:, 0]).tolist(), logs.tolist(), negatives.tolist(),
-            *(values.tolist() for values in log_bounds.values()),
-        ):
-            reports = []
-            for j in range(max(first, r + 1), stop + 1):
-                k = j - r - 1
-                exact = _from_log(row_logs[k], row_negatives[k])
-                if check_oracle:
-                    check = covariance_enum(params, r, j)
-                    if not math.isfinite(check) or abs(check - exact) > _ORACLE_CHECK_TOL:
-                        raise OracleMismatchError(
-                            f"solver covariance {exact!r} vs enumeration {check!r} "
-                            f"at ({r}, {j})"
-                        )
-                values = {key: _exp(row[k]) for key, row in zip(log_bounds, row_bounds)}
-                slacks = {
-                    key: bound - (abs(exact) if key == "lemma3" else exact)
-                    for key, bound in values.items()
-                }
-                reports.append(
-                    BoundReport(i=r, j=j, exact=exact, bounds=values, slacks=slacks)
+    oracle = params.enumeration.cov if params.n_sites <= ENUMERATION_CAP else None
+    blocks = _bound_blocks(params, i, stop, rows, proof_route)
+    for window, logs, negatives, log_bounds in blocks:
+        pairs = (window < stop - i) & (window >= first - i - 1)
+        r = np.broadcast_to(i + window[:, :1], window.shape)[pairs]
+        j = i + 1 + window[pairs]
+        exact = list(map(_from_log, logs[pairs].tolist(), negatives[pairs].tolist()))
+        cov = np.array(exact)
+        if oracle is not None:
+            check = oracle[r, j]
+            bad = ~np.isfinite(check) | (np.abs(check - cov) > _ORACLE_CHECK_TOL)
+            if bad.any():
+                k = int(bad.argmax())
+                raise OracleMismatchError(
+                    f"solver covariance {exact[k]!r} vs enumeration {check.item(k)!r} "
+                    f"at ({r.item(k)}, {j.item(k)})"
                 )
-            yield reports
+        bounds = {key: list(map(_exp, b[pairs].tolist())) for key, b in log_bounds.items()}
+        # lemma3 bounds |cov|, the others cov
+        magnitudes = {"lemma3": np.abs(cov)}
+        slacks = {key: np.array(b) - magnitudes.get(key, cov) for key, b in bounds.items()}
+        violated = np.any([slack < -DOMINANCE_TOL for slack in slacks.values()], axis=0)
+        slacks = {key: slack.tolist() for key, slack in slacks.items()}
+        violated = violated.astype(int).tolist()
+        yield ReportColumns(r.tolist(), j.tolist(), exact, bounds, slacks, violated)

@@ -29,15 +29,14 @@ import math
 import os
 import sys
 from operator import itemgetter
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .bounds import (
     BOUND_KEYS,
     REPORT_COLUMNS,
-    BoundReport,
-    _report_rows,
+    _report_columns,
     compare,
     decay_rates,
     format_cell,
@@ -49,14 +48,16 @@ from .currents import mc_switching_covariance
 from .transfer import covariance, log_partition
 
 
-def _emit(
-    args: argparse.Namespace,
-    record: Any,
-    columns: Sequence[str],
-    rows: Iterable[Sequence[Any]],
-) -> None:
+def _csv(columns: Sequence[str], rows: Iterable[Sequence[Any]]) -> Iterator[str]:
+    """The lines of the CSV table of ``columns`` over ``rows``, each cell
+    through format_cell."""
+    for row in itertools.chain([columns], rows):
+        yield ",".join(v if isinstance(v, str) else format_cell(v) for v in row) + "\n"
+
+
+def _emit(args: argparse.Namespace, record: Any, lines: Iterable[str]) -> None:
     """Write a subcommand's result to stdout: ``record`` as indented JSON for
-    ``--out json``, else the CSV table of ``columns`` over ``rows``.
+    ``--out json``, else the CSV text ``lines`` (_csv).
 
     A reader that closes the pipe early (``| head``) ends the output, not the
     command: stdout then points at os.devnull, so the flush at exit cannot
@@ -67,9 +68,7 @@ def _emit(
         if args.out == "json":
             out.write(json.dumps(record, indent=2) + "\n")
         else:
-            for row in itertools.chain([columns], rows):
-                cells = (v if isinstance(v, str) else format_cell(v) for v in row)
-                out.write(",".join(cells) + "\n")
+            out.writelines(lines)
         out.flush()
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
@@ -162,7 +161,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
             raise OracleMismatchError(f"enumeration oracle returned non-finite {check}")
         result["enum_check"] = check
         rows += [(f"enum_{key}", value) for key, value in check.items()]
-    _emit(args, result, ("key", "value"), rows)
+    _emit(args, result, _csv(("key", "value"), rows))
     return 0
 
 
@@ -171,21 +170,12 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     i, j = _pair(args)
     report = compare(params, i, j, proof_route=args.proof_route)
     record = report.to_dict()
-    _emit(args, record, REPORT_COLUMNS, [itemgetter(*REPORT_COLUMNS)(record)])
+    _emit(args, record, _csv(REPORT_COLUMNS, [itemgetter(*REPORT_COLUMNS)(record)]))
     violations = report.violations()
     if violations:
         print(f"bound violation: {', '.join(violations)}", file=sys.stderr)
         return 4
     return 0
-
-
-def _sweep_reports(
-    params: ChainParams, policy: str, proof_route: bool
-) -> Iterable[BoundReport]:
-    """The endpoint pair's report, or every pair's in row order."""
-    if policy == "endpoints":
-        return [compare(params, 0, params.n_sites - 1, proof_route=proof_route)]
-    return itertools.chain.from_iterable(_report_rows(params, proof_route))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -197,21 +187,34 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     root_seed = _seed_for(args, spec)
     seeds = instance_seeds(root_seed, args.count)
     columns = ("instance", "seed") + REPORT_COLUMNS + ("violation",)
-    rows: list[dict[str, Any]] = []
+    # JSON row dicts, or for CSV each block's lines as one string; nothing is
+    # written before every instance has passed its oracle check
+    rows: list[Any] = []
     min_slacks: dict[str, float] = {}
     n_violations = 0
     for index, seed in enumerate(seeds):
         params = generate_instance(spec, seed)
-        for report in _sweep_reports(params, args.pairs, args.proof_route):
-            violated = bool(report.violations())
-            n_violations += violated
-            for key, slack in report.slacks.items():
-                if key not in min_slacks or slack < min_slacks[key]:
-                    min_slacks[key] = slack
-            rows.append(
-                {"instance": index, "seed": seed, **report.to_dict(),
-                 "violation": int(violated)}
-            )
+        last = params.n_edges
+        n_rows, first = (last, 0) if args.pairs == "all" else (1, last)
+        for block in _report_columns(params, 0, last, n_rows, args.proof_route, first):
+            n_violations += sum(block.violated)
+            for key, slacks in block.slacks.items():
+                low = min(slacks)
+                if key not in min_slacks or low < min_slacks[key]:
+                    min_slacks[key] = low
+            cells = {"i": block.i, "j": block.j, "exact": block.exact, **block.bounds}
+            cells.update((f"slack_{key}", v) for key, v in block.slacks.items())
+            cells["violation"] = block.violated
+            absent = itertools.repeat(None)
+            values = [cells.get(column, absent) for column in columns[2:]]
+            if args.out == "json":
+                instance = itertools.repeat(index), itertools.repeat(seed)
+                rows += (dict(zip(columns, row)) for row in zip(*instance, *values))
+            else:
+                formats = ["" if v is absent else "%.17g" for v in values[2:-1]]
+                template = ",".join([str(index), str(seed), "%d", "%d", *formats, "%d\n"])
+                present = [v for v in values if v is not absent]
+                rows.append("".join(map(template.__mod__, zip(*present))))
     summary = " ".join(
         f"{key}={min_slacks[key]:.17g}" if key in min_slacks else f"{key}=n/a"
         for key in BOUND_KEYS
@@ -219,8 +222,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _emit(
         args,
         {"rows": rows, "min_slacks": min_slacks, "violations": n_violations},
-        columns,
-        map(itemgetter(*columns), rows),
+        itertools.chain([",".join(columns) + "\n"], rows),
     )
     print(f"min slack: {summary}", file=sys.stderr)
     if n_violations:
@@ -249,7 +251,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
         "exact": exact,
         "z_score": z_score,
     }
-    _emit(args, result, tuple(result), [tuple(result.values())])
+    _emit(args, result, _csv(tuple(result), [tuple(result.values())]))
     if abs(z_score) > 4.0:
         print(f"mc inconsistency: |z| = {abs(z_score):.3g} > 4", file=sys.stderr)
         return 5
@@ -298,7 +300,8 @@ def cmd_decay(args: argparse.Namespace) -> int:
             {"distance": d, "rate": rate, "bound_rate": bound_rate, "flag": flag}
         )
     columns = ("distance", "rate", "bound_rate", "flag")
-    _emit(args, {"seed": seed, "rows": rows}, columns, map(itemgetter(*columns), rows))
+    lines = _csv(columns, map(itemgetter(*columns), rows))
+    _emit(args, {"seed": seed, "rows": rows}, lines)
     if n_violations:
         print(f"decay violations: {n_violations}", file=sys.stderr)
         return 4

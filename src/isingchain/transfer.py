@@ -41,9 +41,9 @@ add.accumulate, which adds in index order, so entry j - r - 1 of a row is
 the same running sum as a loop over j = r+1, r+2, ... would give (Higham
 2002, sec. 4.2: the error of a recursive sum depends on the order, so
 keeping it keeps the error bound). A single pair and log_abs_covariance_row
-are its one-row case, log_abs_covariance_rows and sweep --pairs all its
-all-rows case, so all of them give the same floats; the terms are
-elementwise, so they do not depend on the window either.
+are its one-row case and sweep --pairs all its all-rows case, so all of them
+give the same floats; the terms are elementwise, so they do not depend on
+the window either.
 
 The covariance is NOT computed as pair_expectation minus the product of site
 means: that difference cancels catastrophically once the covariance is
@@ -352,17 +352,6 @@ def log_abs_covariance_row(
     """
     ((_, (logs,), negatives, _, _),) = _row_sums([params], i, stop, 1)
     return logs[0], negatives[0]
-
-
-def log_abs_covariance_rows(
-    params: ChainParams,
-) -> Iterator[tuple[list[float], list[bool]]]:
-    """log_abs_covariance_row(params, i, N - 1) for i = 0 .. N - 2, in order,
-    as lists, off one term pass over the whole chain."""
-    n = params.n_edges
-    for window, (logs,), negatives, _, _ in _row_sums([params], 0, n, n):
-        for i, row, signs in zip(window[:, 0].tolist(), logs.tolist(), negatives.tolist()):
-            yield row[: n - i], signs[: n - i]
 
 
 # Entries per column in a block of rows that _row_sums sums at once.

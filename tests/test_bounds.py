@@ -309,9 +309,13 @@ class TestCompareAndReport:
             compare(p, 0, 1)
 
     def test_nonfinite_oracle_is_a_mismatch(self, monkeypatch):
-        import isingchain.bounds as bounds_mod
+        from isingchain.chain import Enumeration
 
-        monkeypatch.setattr(bounds_mod, "covariance_enum", lambda *a: math.nan)
+        def nan_oracle(params):
+            n = params.n_sites
+            return Enumeration(math.nan, np.full(n, math.nan), np.full((n, n), math.nan))
+
+        monkeypatch.setattr(ChainParams, "enumeration", property(nan_oracle))
         with pytest.raises(OracleMismatchError):
             compare(ChainParams((1.0,), (0.1, 0.2)), 0, 1)
 

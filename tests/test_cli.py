@@ -13,7 +13,6 @@ import pytest
 import isingchain
 from isingchain import (
     PARAM_LIMIT,
-    BoundReport,
     CapacityError,
     ChainError,
     ChainParams,
@@ -23,10 +22,15 @@ from isingchain import (
     OracleMismatchError,
     ParseError,
     PreconditionError,
+    compare,
+    compare_row,
     covariance,
     generate_instance,
+    instance_seeds,
     site_mean,
 )
+from isingchain.bounds import DOMINANCE_TOL, REPORT_COLUMNS, format_cell
+from isingchain.chain import _enumerate
 from isingchain.cli import build_parser, main
 from isingchain.currents import McEstimate
 
@@ -55,24 +59,13 @@ def kv_csv(text):
 
 
 @pytest.fixture
-def violating_compare(monkeypatch):
-    """Make every report the CLI gets shift each bound 1 below its value."""
-    import isingchain.cli as cli_mod
+def violating_bounds(monkeypatch):
+    """Make every report the CLI gets shift each bound 1 below its value: a
+    single pair and a sweep's columns both read each bound through _exp."""
+    import isingchain.bounds as bounds_mod
 
-    real_compare = cli_mod.compare
-
-    def compare(params, i, j, proof_route=False):
-        report = real_compare(params, i, j, proof_route=proof_route)
-        bounds = {k: v - 1.0 for k, v in report.bounds.items()}
-        slacks = {
-            k: v - (abs(report.exact) if k == "lemma3" else report.exact)
-            for k, v in bounds.items()
-        }
-        return BoundReport(
-            i=report.i, j=report.j, exact=report.exact, bounds=bounds, slacks=slacks
-        )
-
-    monkeypatch.setattr(cli_mod, "compare", compare)
+    real_exp = bounds_mod._exp
+    monkeypatch.setattr(bounds_mod, "_exp", lambda log_bound: real_exp(log_bound) - 1.0)
 
 
 @pytest.fixture
@@ -295,7 +288,7 @@ class TestBounds:
         )
         assert doc["thm1"] >= doc["exact"] - 1e-12
 
-    def test_tamper_forces_exit_4(self, capsys, ferro, violating_compare):
+    def test_tamper_forces_exit_4(self, capsys, ferro, violating_bounds):
         code, _, err = run(
             capsys, "bounds", "--instance", ferro, "--i", "0", "--j", "2"
         )
@@ -372,7 +365,7 @@ class TestSweep:
         )
         assert out_spec != out_flag
 
-    def test_tamper_forces_exit_4(self, capsys, tmp_path, violating_compare):
+    def test_tamper_forces_exit_4(self, capsys, tmp_path, violating_bounds):
         spec = write_json(tmp_path, "spec.json", {"n_sites": 5, "seed": 11})
         code, _, err = run(capsys, "sweep", "--spec", spec, "--count", "2")
         assert code == 4 and "bound violations: 2" in err
@@ -394,6 +387,144 @@ class TestSweep:
     def test_single_site_spec_rejected(self, capsys, tmp_path):
         spec = write_json(tmp_path, "spec.json", {"n_sites": 1, "seed": 11})
         assert run(capsys, "sweep", "--spec", spec)[0] == 3
+
+
+def uniform(low, high):
+    return {"type": "uniform", "low": low, "high": high}
+
+
+def sweep_reference(spec, root_seed, count, pairs, proof_route):
+    """sweep's rows and min slacks rebuilt from compare / compare_row reports."""
+    spec = InstanceSpec.from_json(json.dumps(spec))
+    rows, min_slacks = [], {}
+    for index, seed in enumerate(instance_seeds(root_seed, count)):
+        p = generate_instance(spec, seed)
+        if pairs == "endpoints":
+            reports = [compare(p, 0, p.n_sites - 1, proof_route=proof_route)]
+        else:
+            reports = [
+                r for i in range(p.n_sites - 1)
+                for r in compare_row(p, i, proof_route=proof_route)
+            ]
+        for r in reports:
+            for key, slack in r.slacks.items():
+                if key not in min_slacks or slack < min_slacks[key]:
+                    min_slacks[key] = slack
+            rows.append({"instance": index, "seed": seed, **r.to_dict(),
+                         "violation": int(bool(r.violations()))})
+    return rows, min_slacks
+
+
+class TestSweepAllPairs:
+    # signed couplings: lemma3 only
+    SIGNED = {"n_sites": 7, "J": uniform(0.1, 2.0), "sign_flip_prob": {"J": 0.5}}
+    # nonnegative couplings and fields: all four bounds
+    NONNEG = {"n_sites": 7, "J": uniform(0.0, 2.0), "h": uniform(0.0, 1.0)}
+    # couplings and fields near the limit: the partition ratio overflows,
+    # so lemma3 is inf
+    HUGE_FIELDS = {"n_sites": 9, "J": uniform(500.0, 1e3), "h": uniform(-1e3, 1e3)}
+
+    @pytest.mark.parametrize("out", ["csv", "json"])
+    @pytest.mark.parametrize("proof_route", [False, True])
+    @pytest.mark.parametrize("pairs", ["all", "endpoints"])
+    @pytest.mark.parametrize(
+        "spec, root_seed",
+        [(SIGNED, 3), (NONNEG, 4), (HUGE_FIELDS, 5), (NONNEG, 2**62 + 11)],
+        ids=["signed", "nonneg", "huge_fields", "seed_past_2_62"],
+    )
+    def test_rows_equal_reports(
+        self, capsys, tmp_path, spec, root_seed, pairs, proof_route, out
+    ):
+        path = write_json(tmp_path, "spec.json", spec)
+        argv = ["sweep", "--spec", path, "--count", "3", "--pairs", pairs,
+                "--seed", str(root_seed), "--out", out]
+        code, text, err = run(capsys, *argv, *(["--proof-route"] if proof_route else []))
+        rows, min_slacks = sweep_reference(spec, root_seed, 3, pairs, proof_route)
+        n_violations = sum(row["violation"] for row in rows)
+        assert code == (4 if n_violations else 0)
+        if out == "json":
+            record = {"rows": rows, "min_slacks": min_slacks, "violations": n_violations}
+            assert text == json.dumps(record, indent=2) + "\n"
+        else:
+            lines = [",".join(rows[0])]
+            lines += [",".join(map(format_cell, row.values())) for row in rows]
+            assert text == "\n".join(lines) + "\n"
+        assert err.startswith("min slack: ")
+        if spec is self.SIGNED:
+            assert all(row["thm1"] is None for row in rows)
+        if spec is self.NONNEG:
+            assert all(row[key] is not None for row in rows for key in REPORT_COLUMNS)
+        if spec is self.HUGE_FIELDS and pairs == "all":
+            assert any(row["lemma3"] == math.inf for row in rows)
+        if root_seed >= 2**62:
+            assert any(row["seed"] >= 2**62 for row in rows)
+
+    def test_min_slacks_in_first_seen_order(self, capsys, tmp_path):
+        # a signed first instance has only lemma3; thm1, zero_field and thm2
+        # follow in the order a later ferromagnet's reports give them
+        spec = {"n_sites": 3, "J": uniform(0.1, 2.0), "h": uniform(0.0, 1.0),
+                "sign_flip_prob": {"J": 0.5}}
+        parsed = InstanceSpec.from_json(json.dumps(spec))
+        root_seed = next(
+            seed for seed in range(1000)
+            if [generate_instance(parsed, s).is_ferromagnetic()
+                for s in instance_seeds(seed, 3)] == [False, False, True]
+        )
+        path = write_json(tmp_path, "spec.json", spec)
+        code, text, _ = run(capsys, "sweep", "--spec", path, "--count", "3",
+                            "--pairs", "all", "--seed", str(root_seed), "--out", "json")
+        assert code == 0
+        doc = json.loads(text)
+        assert list(doc["min_slacks"]) == ["lemma3", "thm1", "zero_field", "thm2"]
+        _, min_slacks = sweep_reference(spec, root_seed, 3, "all", False)
+        assert doc["min_slacks"] == min_slacks
+
+    def test_tamper_counts_violating_rows(self, capsys, tmp_path, request):
+        spec = {"n_sites": 6, "seed": 11, "sign_flip_prob": {"J": 0.3}}
+        rows, _ = sweep_reference(spec, 11, 4, "all", False)
+        want = 0
+        for row in rows:
+            exact = row["exact"]
+            want += any(
+                row[key] is not None
+                and row[key] - 1.0 - (abs(exact) if key == "lemma3" else exact)
+                < -DOMINANCE_TOL
+                for key in ("thm1", "thm2", "lemma3", "zero_field")
+            )
+        assert 0 < want < len(rows)
+        request.getfixturevalue("violating_bounds")
+        path = write_json(tmp_path, "spec.json", spec)
+        code, out, err = run(capsys, "sweep", "--spec", path, "--count", "4",
+                             "--pairs", "all")
+        assert code == 4 and f"bound violations: {want}\n" in err
+        _, got = csv_rows(out)
+        assert sum(row[-1] == "1" for row in got) == want
+
+    @pytest.mark.parametrize("out", ["csv", "json"])
+    def test_oracle_mismatch_names_first_pair_in_row_order(
+        self, capsys, tmp_path, monkeypatch, out
+    ):
+        def corrupt(params):
+            oracle = _enumerate(params)
+            cov = oracle.cov.copy()
+            for i, j in ((2, 3), (1, 4)):
+                cov[i, j] = cov[j, i] = cov[i, j] + 1e-6
+            return oracle._replace(cov=cov)
+
+        spec = {"n_sites": 6, "seed": 5}
+        path = write_json(tmp_path, "spec.json", spec)
+        params = generate_instance(InstanceSpec.from_json(json.dumps(spec)),
+                                   instance_seeds(5, 1)[0])
+        exact = covariance(params, 1, 4)
+        oracle = corrupt(params).cov[1, 4].item()
+        monkeypatch.setattr(ChainParams, "enumeration", property(corrupt))
+        code, text, err = run(capsys, "sweep", "--spec", path, "--count", "2",
+                              "--pairs", "all", "--out", out)
+        assert code == 1 and text == ""
+        assert err == (
+            f"internal error: solver covariance {exact!r} vs enumeration "
+            f"{oracle!r} at (1, 4)\n"
+        )
 
 
 class TestMc:
@@ -931,3 +1062,21 @@ class TestModuleEntryPoint:
             err = proc.stderr.read().decode()
             assert proc.wait(timeout=60) == 0
         assert "Traceback" not in err and "Exception ignored" not in err
+
+    def test_all_pairs_reader_closing_the_pipe_early(self, tmp_path):
+        # as `sweep --pairs all ... | head -1`: the 44 850 rows of a 300-site
+        # chain are written after every instance is evaluated
+        spec = write_json(tmp_path, "spec.json", {"n_sites": 300, "seed": 1})
+        argv = ["sweep", "--spec", spec, "--pairs", "all", "--count", "1"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "isingchain", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=self.child_env(),
+        ) as proc:
+            assert proc.stdout.readline().startswith(b"instance,seed,i,j,exact,")
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=60) == 0
+        assert "Traceback" not in err and "Exception ignored" not in err
+        assert err.startswith("min slack: ")

@@ -49,10 +49,10 @@ from isingchain.transfer import (
     SCAN_MIN_SITES,
     _covariance_terms,
     _pass,
+    _row_sums,
     _scan_pass,
     log_abs_covariance,
     log_abs_covariance_row,
-    log_abs_covariance_rows,
 )
 
 from conftest import end_field_tolerance, random_params
@@ -663,12 +663,14 @@ def test_rows_off_one_term_table_equal_single_rows(monkeypatch, params, row_bloc
     if row_block is not None:
         monkeypatch.setattr(transfer_mod, "ROW_BLOCK", row_block)
     n = params.n_sites
-    rows = list(log_abs_covariance_rows(params))
-    assert len(rows) == n - 1
-    for i, (logs, negatives) in enumerate(rows):
+    rows = []
+    for window, (logs,), negatives, _, _ in _row_sums([params], 0, n - 1, n - 1):
+        rows += zip(window[:, 0].tolist(), logs, negatives)
+    assert [i for i, _, _ in rows] == list(range(n - 1))
+    for i, logs, negatives in rows:
         want_logs, want_negatives = log_abs_covariance_row(params, i, n - 1)
-        assert np.array(logs).tobytes() == want_logs.tobytes()
-        assert negatives == want_negatives.tolist()
+        assert logs[: n - 1 - i].tobytes() == want_logs.tobytes()
+        assert negatives[: n - 1 - i].tolist() == want_negatives.tolist()
 
 
 def test_covariance_terms_are_elementwise():

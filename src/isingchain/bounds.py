@@ -107,8 +107,7 @@ def _bound_blocks(
             instances.append(abs_params)
     ferromagnetic = params.is_ferromagnetic()
     if ferromagnetic:
-        couplings = np.array(params.couplings[i:stop], dtype=np.float64)
-        fields = np.array(params.fields[i + 1 : stop], dtype=np.float64)
+        couplings, fields = params.couplings[i:stop], params.fields[i + 1 : stop]
         with np.errstate(divide="ignore"):
             edges += [_log_edge_factor(couplings), np.log(np.tanh(couplings))]
         sites += [fields, np.abs(fields)]
@@ -232,9 +231,8 @@ def partition_ratio_lower(params: ChainParams) -> tuple[float, float]:
     """
     _require_ferromagnetic(params)
     ratio = math.exp(log_partition(params) - log_partition(params.absolute()))
-    plus = math.fsum(h for h in params.fields if h > 0.0)
-    minus = math.fsum(-h for h in params.fields if h < 0.0)
-    mass = min(plus, minus)
+    fields = params.fields
+    mass = min(math.fsum(fields[fields > 0.0]), math.fsum(-fields[fields < 0.0]))
     return ratio, math.exp(-2.0 * mass)
 
 

@@ -16,7 +16,6 @@ covariances come from one such pass per instance, cached on it as
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -46,36 +45,59 @@ _BLOCK_BITS = 16
 _MOMENT_ROWS = 4096
 
 
-@dataclass(frozen=True)
-class ChainParams:
-    """Couplings J[0..N-1] and fields h[0..N] for one chain instance."""
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
 
-    couplings: tuple[float, ...]
-    fields: tuple[float, ...]
+
+@dataclass(frozen=True, eq=False)
+class ChainParams:
+    """Couplings J[0..N-1] and fields h[0..N] for one chain instance.
+
+    Both are read-only float64 arrays, copied from any 1-D sequences of
+    numbers and validated once; == compares their values.
+    """
+
+    couplings: np.ndarray
+    fields: np.ndarray
 
     def __post_init__(self) -> None:
         try:
-            object.__setattr__(self, "couplings", tuple(map(float, self.couplings)))
-            object.__setattr__(self, "fields", tuple(map(float, self.fields)))
+            couplings = np.array(self.couplings, dtype=np.float64)
+            fields = np.array(self.fields, dtype=np.float64)
         except OverflowError as exc:
             raise PreconditionError(
                 f"coupling or field outside the supported range: {exc}"
             ) from None
-        if len(self.fields) < 1:
+        if couplings.ndim != 1 or fields.ndim != 1:
+            raise PreconditionError("couplings and fields must be 1-D sequences")
+        if len(fields) < 1:
             raise PreconditionError("a chain needs at least one site")
-        if len(self.couplings) != len(self.fields) - 1:
+        if len(couplings) != len(fields) - 1:
             raise PreconditionError(
-                f"{len(self.fields)} sites need {len(self.fields) - 1} couplings, "
-                f"got {len(self.couplings)}"
+                f"{len(fields)} sites need {len(fields) - 1} couplings, "
+                f"got {len(couplings)}"
             )
-        for v in itertools.chain(self.couplings, self.fields):
-            if not abs(v) <= PARAM_LIMIT:
-                if not math.isfinite(v):
-                    raise PreconditionError("couplings and fields must be finite")
-                raise PreconditionError(
-                    f"coupling or field {v!r} outside the supported range "
-                    f"|J|, |h| <= {PARAM_LIMIT:g}"
-                )
+        values = np.concatenate((couplings, fields))
+        inside = np.abs(values) <= PARAM_LIMIT
+        if not inside.all():
+            # the first offending entry, couplings before fields, decides
+            v = values.item(inside.argmin())
+            if not math.isfinite(v):
+                raise PreconditionError("couplings and fields must be finite")
+            raise PreconditionError(
+                f"coupling or field {v!r} outside the supported range "
+                f"|J|, |h| <= {PARAM_LIMIT:g}"
+            )
+        object.__setattr__(self, "couplings", _read_only(couplings))
+        object.__setattr__(self, "fields", _read_only(fields))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ChainParams):
+            return NotImplemented
+        return np.array_equal(self.couplings, other.couplings) and np.array_equal(
+            self.fields, other.fields
+        )
 
     @property
     def n_sites(self) -> int:
@@ -102,30 +124,26 @@ class ChainParams:
         return _enumerate(self)
 
     @classmethod
-    def _derived(
-        cls, couplings: tuple[float, ...], fields: tuple[float, ...]
-    ) -> "ChainParams":
-        """An instance built without a second validation pass.
+    def _derived(cls, couplings: np.ndarray, fields: np.ndarray) -> "ChainParams":
+        """An instance built without a second validation pass, on the arrays
+        given, which it makes read-only.
 
-        The entries must be finite floats, already checked or computed from a
+        The entries must be finite float64, already checked or computed from a
         validated instance; computed ones may leave the input range (an
         effective end field can reach |h| + |J|).
         """
         out = object.__new__(cls)
-        object.__setattr__(out, "couplings", couplings)
-        object.__setattr__(out, "fields", fields)
+        object.__setattr__(out, "couplings", _read_only(couplings))
+        object.__setattr__(out, "fields", _read_only(fields))
         return out
 
     @cached_property
     def _has_sign_bit(self) -> bool:
-        values = self.couplings + self.fields
-        return bool(np.signbit(np.fromiter(values, float, len(values))).any())
+        return bool(np.signbit(np.concatenate((self.couplings, self.fields))).any())
 
     @cached_property
     def _absolute(self) -> "ChainParams":
-        return ChainParams._derived(
-            tuple(map(abs, self.couplings)), tuple(map(abs, self.fields))
-        )
+        return ChainParams._derived(np.abs(self.couplings), np.abs(self.fields))
 
     def absolute(self) -> "ChainParams":
         """The instance with |J|, |h| entrywise; built once per instance.
@@ -138,14 +156,18 @@ class ChainParams:
         return self._absolute if self._has_sign_bit else self
 
     def reflected(self) -> "ChainParams":
-        """The instance read right-to-left (site x -> N - x)."""
-        return ChainParams(self.couplings[::-1], self.fields[::-1])
+        """The instance read right-to-left (site x -> N - x).
+
+        Reversing keeps a validated instance valid and a derived one derived,
+        so the reversed views are not checked again.
+        """
+        return ChainParams._derived(self.couplings[::-1], self.fields[::-1])
 
     def is_ferromagnetic(self) -> bool:
-        return min(self.couplings, default=0.0) >= 0.0
+        return bool((self.couplings >= 0.0).all())
 
     def has_nonneg_fields(self) -> bool:
-        return min(self.fields, default=0.0) >= 0.0
+        return bool((self.fields >= 0.0).all())
 
     @classmethod
     def from_json(cls, text: str) -> "ChainParams":
@@ -184,11 +206,12 @@ def hamiltonian(params: ChainParams, config: SpinConfig) -> float:
         raise PreconditionError(
             f"configuration has {len(s)} spins, instance has {params.n_sites} sites"
         )
+    couplings, fields = params.couplings.tolist(), params.fields.tolist()
     energy = 0.0
     for x in range(params.n_edges):
-        energy -= params.couplings[x] * s[x] * s[x + 1]
+        energy -= couplings[x] * s[x] * s[x + 1]
     for x in range(params.n_sites):
-        energy -= params.fields[x] * s[x]
+        energy -= fields[x] * s[x]
     return energy
 
 
@@ -277,8 +300,7 @@ def _weighted_blocks(
     shift-free; log Z is the final shift plus the log of the weight sum.
     """
     n, n_low = params.n_sites, low.shape[1]
-    j_arr = np.asarray(params.couplings, dtype=np.float64)
-    h_arr = np.asarray(params.fields, dtype=np.float64)
+    j_arr, h_arr = params.couplings, params.fields
     k = np.arange(len(low), dtype=np.uint32)
     bonds = (low[:, :-1] @ j_arr[: n_low - 1])[k ^ (k >> 1)]
     table = -bonds - low @ h_arr[:n_low]

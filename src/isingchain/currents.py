@@ -74,13 +74,6 @@ def poisson_parity(rate: float) -> tuple[float, float, float]:
     return p_zero, p_even, p_odd
 
 
-def _edge_rates(params: ChainParams) -> tuple[np.ndarray, np.ndarray]:
-    return (
-        np.abs(np.asarray(params.couplings, dtype=np.float64)),
-        np.abs(np.asarray(params.fields, dtype=np.float64)),
-    )
-
-
 def _class_chunks(
     params: ChainParams, seed: int, samples: int, copies: int
 ) -> Iterator[np.ndarray]:
@@ -96,8 +89,8 @@ def _class_chunks(
     """
     samples = _check_integer(samples, "samples", 1)
     seed = _check_integer(seed, "seed", 0, SEED_LIMIT)
-    lat_rates, gho_rates = _edge_rates(params)
-    laws = [poisson_parity(r) for r in np.concatenate([lat_rates, gho_rates])]
+    rates = np.abs(np.concatenate((params.couplings, params.fields)))
+    laws = [poisson_parity(r) for r in rates]
     p_zero = np.array([law[0] for law in laws])
     p_zero_or_odd = p_zero + np.array([law[2] for law in laws])
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
@@ -126,7 +119,7 @@ def sample_current_batch(
     """
     count = _check_integer(count, "count", 1)
     seed = _check_integer(seed, "seed", 0, SEED_LIMIT)
-    rates = np.concatenate(_edge_rates(params))
+    rates = np.abs(np.concatenate((params.couplings, params.fields)))
     seqs = np.random.SeedSequence(seed).spawn(len(rates))
     arrivals = np.empty((len(rates), count), dtype=np.int64)
     for e, (rate, seq) in enumerate(zip(rates, seqs)):
@@ -183,7 +176,7 @@ def _ghost_disconnected(
 
 def _negative_mask(params: ChainParams) -> np.ndarray:
     """True on edges with a negative parameter, lattice edges first."""
-    return np.asarray(params.couplings + params.fields, dtype=np.float64) < 0.0
+    return np.concatenate((params.couplings, params.fields)) < 0.0
 
 
 def _signs(currents: np.ndarray, negative: np.ndarray) -> np.ndarray:
@@ -318,13 +311,14 @@ def _log_match_probability(params: ChainParams) -> float:
     last site. The pair of weights is renormalized so that the even one is
     1; `odd` keeps their ratio, which stays in [0, 1].
     """
+    couplings = params.couplings.tolist()
     odd = 0.0
     scales = []
-    for x, hx in enumerate(params.fields):
+    for x, hx in enumerate(params.fields.tolist()):
         _, pe, po = poisson_parity(abs(hx))
         even, odd = pe + odd * po, po + odd * pe
         if x < params.n_edges:
-            _, pe_j, po_j = poisson_parity(abs(params.couplings[x]))
+            _, pe_j, po_j = poisson_parity(abs(couplings[x]))
             even, odd = even * pe_j, odd * po_j
         scales.append(math.log(even))
         odd /= even
@@ -341,7 +335,7 @@ def boundary_match_probability(params: ChainParams) -> float:
 
 def _log_even_lattice(params: ChainParams) -> float:
     """log P(every lattice edge carries an even count)."""
-    return math.fsum(math.log(poisson_parity(j)[1]) for j in params.couplings)
+    return math.fsum(math.log(poisson_parity(j)[1]) for j in params.couplings.tolist())
 
 
 def cov_identity_check(params: ChainParams) -> tuple[float, float]:
@@ -359,7 +353,7 @@ def cov_identity_check(params: ChainParams) -> tuple[float, float]:
     lhs = covariance(params, 0, params.n_sites - 1)
     if 0.0 in params.couplings:
         return lhs, 0.0
-    log_tanh = math.fsum(math.log(math.tanh(j)) for j in params.couplings)
+    log_tanh = math.fsum(math.log(math.tanh(j)) for j in params.couplings.tolist())
     log_ratio = _log_even_lattice(params) - math.fsum(params.fields)
     log_ratio -= _log_match_probability(params)
     return lhs, math.exp(log_tanh + 2.0 * log_ratio)
@@ -379,7 +373,7 @@ def conditional_bound_check(params: ChainParams) -> tuple[float, float]:
     log_even_total = math.log(poisson_parity(math.fsum(params.fields))[1])
     log_ratio = _log_match_probability(params) - _log_even_lattice(params)
     log_lower = math.fsum(
-        math.log1p(math.tanh(j)) - math.log(2.0) for j in params.couplings
+        math.log1p(math.tanh(j)) - math.log(2.0) for j in params.couplings.tolist()
     )
     return log_ratio - log_even_total, log_lower
 
@@ -476,14 +470,14 @@ def signed_moment_sum(params: ChainParams, sites: Sequence[int]) -> float:
     for an odd site set and otherwise a product over edges of P(even) or of
     P(odd), the latter negated where J_x < 0.
     """
-    if any(v != 0.0 for v in params.fields):
+    if params.fields.any():
         raise PreconditionError("the signed moment sum is implemented for zero field")
     cols = {_check_site(params, x) for x in sites}
     if len(cols) % 2:
         return 0.0
     total = 1.0
     odd = False
-    for x, jx in enumerate(params.couplings):
+    for x, jx in enumerate(params.couplings.tolist()):
         odd ^= x in cols
         _, pe, po = poisson_parity(abs(jx))
         total *= (-po if jx < 0.0 else po) if odd else pe

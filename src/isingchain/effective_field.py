@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .chain import ChainParams, _check_pair
 from .errors import PreconditionError
 from .numeric import log_cosh
@@ -71,7 +73,7 @@ def truncate(params: ChainParams, i: int, j: int) -> TruncatedModel:
     h_right = params.sweep.right_field(j)
     window_params = ChainParams._derived(
         params.couplings[i:j],
-        (h_left,) + params.fields[i + 1 : j] + (h_right,),
+        np.concatenate(([h_left], params.fields[i + 1 : j], [h_right])),
     )
     return TruncatedModel(
         window=(i, j), params=window_params, h_prime_i=h_left, h_prime_j=h_right

@@ -177,7 +177,7 @@ def generate_instance(spec: InstanceSpec, seed: int) -> ChainParams:
     if spec.field_flip_prob > 0.0:
         flip = rng.random(spec.n_sites) < spec.field_flip_prob
         fields = np.where(flip, -fields, fields)
-    return ChainParams(tuple(couplings.tolist()), tuple(fields.tolist()))
+    return ChainParams(couplings, fields)
 
 
 def instance_seeds(root_seed: int, count: int) -> list[int]:

@@ -68,7 +68,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .chain import ChainParams, _check_pair, _check_site
+from .chain import ChainParams, _check_pair, _check_site, _read_only
 from .errors import DecayRateUndefinedError
 from .numeric import _LOG2, log_add_exp
 
@@ -79,13 +79,15 @@ SCAN_MIN_SITES = 4096
 SCAN_BLOCK = 1 << 13
 
 
-def _pass(couplings: Sequence[float], fields: Sequence[float]) -> tuple[array, float]:
+def _pass(couplings: np.ndarray, fields: np.ndarray) -> tuple[array, float]:
     """One left-to-right message pass: (message gaps, log Z).
 
     Gap x is lp - lm of the renormalized log-message into site x with the
     sites < x summed out (their fields absorbed, h_x not). The pair is shifted
-    so its larger component is exactly 0, so the gap alone carries it.
+    so its larger component is exactly 0, so the gap alone carries it. The
+    loop reads Python floats: on numpy scalars it runs about twice as long.
     """
+    couplings, fields = couplings.tolist(), fields.tolist()
     gaps = array("d", [0.0])
     shifts = []
     lp = lm = 0.0
@@ -220,15 +222,10 @@ class ChainSweep:
     """
 
     def __init__(self, params: ChainParams) -> None:
-        couplings, fields = params.couplings, params.fields
-        h = np.fromiter(fields, np.float64, len(fields))
-        kernel = _pass
-        if len(fields) >= SCAN_MIN_SITES:
-            kernel = _scan_pass
-            couplings = np.fromiter(couplings, np.float64, len(couplings))
-            fields = h
-        fwd, self.log_z = kernel(couplings, fields)
-        bwd, _ = kernel(couplings[::-1], fields[::-1])
+        couplings, h = params.couplings, params.fields
+        kernel = _scan_pass if len(h) >= SCAN_MIN_SITES else _pass
+        fwd, self.log_z = kernel(couplings, h)
+        bwd, _ = kernel(couplings[::-1], h[::-1])
         self.left_fields = _read_only(h + 0.5 * np.frombuffer(fwd))
         self.right_fields = _read_only(h + 0.5 * np.frombuffer(bwd)[::-1])
         self.site_fields = _read_only(self.left_fields + self.right_fields - h)
@@ -242,11 +239,6 @@ class ChainSweep:
 
     def right_field(self, x: int) -> float:
         return self.right_fields.item(x)
-
-
-def _read_only(values: np.ndarray) -> np.ndarray:
-    values.flags.writeable = False
-    return values
 
 
 def log_partition(params: ChainParams) -> float:
@@ -321,7 +313,7 @@ def _covariance_terms(
     """
     sweep = params.sweep
     m = stop - i
-    jk = np.array(params.couplings[i:stop], dtype=np.float64)
+    jk = params.couplings[i:stop]
     a = sweep.left_fields[i:stop]
     b = sweep.right_fields[i + 1 : stop + 1]
     flip = jk < 0.0

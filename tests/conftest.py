@@ -40,7 +40,7 @@ def random_params(
     """Uniform random instance; bounds chosen per call site."""
     couplings = rng.uniform(j_low, j_high, size=n_sites - 1)
     fields = rng.uniform(h_low, h_high, size=n_sites)
-    return ChainParams(tuple(couplings.tolist()), tuple(fields.tolist()))
+    return ChainParams(couplings, fields)
 
 
 def end_field_tolerance(params: ChainParams) -> float:
@@ -50,7 +50,8 @@ def end_field_tolerance(params: ChainParams) -> float:
     references sum out the outer sites with remove_end_site; the two round
     differently in the last bits, by about one ulp of the instance's scale.
     """
-    return 4.0 * 2.0**-52 * max(map(abs, params.couplings + params.fields))
+    values = np.concatenate((params.couplings, params.fields))
+    return 4.0 * 2.0**-52 * max(map(abs, values))
 
 
 @pytest.fixture

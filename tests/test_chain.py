@@ -29,12 +29,15 @@ from isingchain import (
     bound_nonneg_field,
     bound_signed_field,
     bound_zero_field,
+    boundary_match_probability,
     compare,
     covariance,
     finite_decay_rate,
     log_partition,
     mc_switching_covariance,
     pair_expectation,
+    partition_ratio_lower,
+    signed_moment_sum,
     site_mean,
     truncate,
 )
@@ -155,13 +158,39 @@ class TestChainParams:
 
     def test_values_coerced_to_float(self):
         p = ChainParams((1,), (0, 2))
-        assert all(isinstance(v, float) for v in p.couplings + p.fields)
+        assert p.couplings.dtype == p.fields.dtype == np.float64
 
     def test_absolute_and_reflected(self):
         p = ChainParams((-1.0, 2.0), (0.5, -0.25, 0.0))
         assert p.absolute() == ChainParams((1.0, 2.0), (0.5, 0.25, 0.0))
         assert p.reflected() == ChainParams((2.0, -1.0), (0.0, -0.25, 0.5))
         assert p.reflected().reflected() == p
+
+    def test_reflected_derived_instance_stays_derived(self):
+        # an end field past PARAM_LIMIT is valid on a derived instance, and
+        # reading the instance right-to-left must not check it again
+        model = truncate(ChainParams((1e3,) * 2, (1e3,) * 3), 1, 2)
+        assert model.params.fields[0] > PARAM_LIMIT
+        mirrored = model.params.reflected()
+        assert np.array_equal(mirrored.couplings, model.params.couplings[::-1])
+        assert np.array_equal(mirrored.fields, model.params.fields[::-1])
+        assert mirrored.reflected() == model.params
+
+    def test_arrays_are_read_only_copies(self):
+        # the cached sweep and absolute instance rely on both
+        couplings, fields = np.array([1.0, -0.5]), np.array([0.3, -0.2, 0.1])
+        p = ChainParams(couplings, fields)
+        couplings[0] = fields[0] = 2.0
+        same = ChainParams((1.0, -0.5), (0.3, -0.2, 0.1))
+        assert p == same
+        assert p.sweep.log_z == same.sweep.log_z
+        assert np.array_equal(p.sweep.left_fields, same.sweep.left_fields)
+        views = (p.couplings, p.fields, p.absolute().fields, p.reflected().fields,
+                 truncate(p, 0, 1).params.fields)
+        for values in views:
+            with pytest.raises(ValueError):
+                values[0] = 3.0
+        assert p == same
 
     def test_absolute_of_nonnegative_instance_is_itself(self):
         p = ChainParams((1.0, 0.0), (0.5, 0.0, 2.0))
@@ -207,6 +236,14 @@ class TestChainParams:
         with pytest.raises(ParseError) as parsed:
             ChainParams.from_json(text)
         assert str(parsed.value) == str(direct.value)
+
+    @pytest.mark.parametrize(
+        "couplings, fields",
+        [(((1.0,),), (0.0, 0.0)), ((1.0,), 0.5), ((1.0,), [[0.0, 0.0]])],
+    )
+    def test_non_sequences_rejected(self, couplings, fields):
+        with pytest.raises(PreconditionError, match="must be 1-D sequences"):
+            ChainParams(couplings, fields)
 
     def test_predicates(self):
         assert ChainParams((0.0, 1.0), (-1.0, 0.0, 2.0)).is_ferromagnetic()
@@ -448,3 +485,42 @@ class TestModelSymmetries:
             assert abs(covariance_enum(q, i, j)) == pytest.approx(
                 abs(covariance_enum(p, i, j)), rel=1e-12, abs=1e-15
             )
+
+
+RETURN_TYPE_PARAMS = ChainParams((0.8, 0.3, 0.5), (0.5, 0.2, 0.1, 0.4))
+ZERO_FIELD_PARAMS = ChainParams((0.8, -0.3, 0.5), (0.0,) * 4)
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda p: hamiltonian(p, SpinConfig((1, -1, 1, 1))),
+        log_partition,
+        lambda p: site_mean(p, 1),
+        lambda p: covariance(p, 0, 3),
+        lambda p: pair_expectation(p, 0, 3),
+        lambda p: finite_decay_rate(p, 0, 3),
+        lambda p: bound_signed_field(p, 0, 3),
+        lambda p: bound_signed_field(p, 0, 3, proof_route=True),
+        lambda p: bound_nonneg_field(p, 0, 3),
+        lambda p: bound_abs_envelope(p, 0, 3),
+        lambda p: bound_zero_field(p, 0, 3),
+        lambda p: partition_ratio_lower(p)[0],
+        lambda p: partition_ratio_lower(p)[1],
+        boundary_match_probability,
+        lambda p: signed_moment_sum(ZERO_FIELD_PARAMS, (0, 2)),
+        lambda p: truncate(p, 1, 2).h_prime_i,
+        lambda p: truncate(p, 1, 2).h_prime_j,
+    ],
+    ids=[
+        "hamiltonian", "log_partition", "site_mean", "covariance",
+        "pair_expectation", "finite_decay_rate", "bound_signed_field",
+        "bound_signed_field_proof_route", "bound_nonneg_field",
+        "bound_abs_envelope", "bound_zero_field", "partition_ratio",
+        "partition_ratio_lower", "boundary_match_probability",
+        "signed_moment_sum", "h_prime_i", "h_prime_j",
+    ],
+)
+def test_public_floats_are_python_floats(evaluate):
+    # a numpy scalar would print as np.float64(...) in a repr or a message
+    assert type(evaluate(RETURN_TYPE_PARAMS)) is float

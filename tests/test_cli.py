@@ -943,6 +943,33 @@ class TestParameterRange:
         assert err.startswith("error: ") and "supported range" in err
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"J": [1.0], "h": [0.0, 1000.0000000000001]}',
+             "coupling or field 1000.0000000000001 outside the supported range "
+             "|J|, |h| <= 1000"),
+            ('{"J": [10000.0, 1.0], "h": [0.0, NaN, 0.0]}',
+             "coupling or field 10000.0 outside the supported range |J|, |h| <= 1000"),
+            ('{"J": [1.0, NaN], "h": [0.0, 10000.0, 0.0]}',
+             "couplings and fields must be finite"),
+            ('{"J": [1.0], "h": [0.0, 1' + "0" * 400 + "]}",
+             "coupling or field outside the supported range: "
+             "int too large to convert to float"),
+        ],
+    )
+    def test_instance_error_text(self, capsys, tmp_path, text, message):
+        """The first offending entry, couplings before fields, picks the
+        message, and its value prints as a Python float."""
+        data = json.loads(text)
+        with pytest.raises(PreconditionError) as direct:
+            ChainParams(data["J"], data["h"])
+        assert str(direct.value) == message
+        path = tmp_path / "inst.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "exact", "--instance", str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
         "command",
         [
             ("exact", "--i", "0", "--j", "4"),

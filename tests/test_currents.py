@@ -43,7 +43,8 @@ def enum_match_probability(params):
     n = params.n_sites
     assert n <= 16
     bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
-    laws = [poisson_parity(abs(v)) for v in params.fields + params.couplings]
+    rates = np.concatenate((params.fields, params.couplings))
+    laws = [poisson_parity(abs(v)) for v in rates]
     p_even = np.array([law[1] for law in laws])
     p_odd = np.array([law[2] for law in laws])
     prefix = np.cumsum(bits, axis=1) % 2

@@ -68,9 +68,9 @@ class TestTruncate:
         p = ChainParams((1.0, -0.5, 0.25, 2.0), (0.3, 0.2, -0.1, 0.4, 0.6))
         model = truncate(p, 1, 3)
         assert model.window == (1, 3)
-        assert model.params.couplings == p.couplings[1:3]
+        assert np.array_equal(model.params.couplings, p.couplings[1:3])
         # interior fields untouched, end fields shifted
-        assert model.params.fields[1:-1] == p.fields[2:3]
+        assert np.array_equal(model.params.fields[1:-1], p.fields[2:3])
         assert model.params.fields[0] == model.h_prime_i
         assert model.params.fields[-1] == model.h_prime_j
 
@@ -168,8 +168,8 @@ class TestTruncateAlgebra:
                 stripped.append((tuple(cs), tuple(hs)))
             assert stripped[0] == stripped[1]
             cs, hs = stripped[0]
-            assert cs == reference.params.couplings
-            assert hs[1:-1] == reference.params.fields[1:-1]
+            assert np.array_equal(cs, reference.params.couplings)
+            assert np.array_equal(hs[1:-1], reference.params.fields[1:-1])
             tol = end_field_tolerance(p)
             assert abs(hs[0] - reference.h_prime_i) <= tol
             assert abs(hs[-1] - reference.h_prime_j) <= tol

@@ -175,7 +175,8 @@ class TestMcSwitchingCovariance:
 
 def class_law(params):
     """(P(absent), P(odd), P(even and positive)) per edge, lattice edges first."""
-    laws = [poisson_parity(abs(v)) for v in params.couplings + params.fields]
+    rates = np.concatenate((params.couplings, params.fields))
+    laws = [poisson_parity(abs(v)) for v in rates]
     return np.array([(zero, odd, even - zero) for zero, even, odd in laws])
 
 

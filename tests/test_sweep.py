@@ -330,7 +330,7 @@ MP_MAX_LOSS = 400
 
 def param_scale(params):
     """max(1, |J|, |h|) over the instance."""
-    return max(1.0, *map(abs, params.couplings + params.fields))
+    return max(1.0, *map(abs, np.concatenate((params.couplings, params.fields))))
 
 
 def assert_log_z_and_means_match_high_precision(params):
@@ -549,7 +549,7 @@ def extreme_scan_chain():
     sites = rng.permutation(n)
     fields[sites[:10]] = 5e-324
     fields[sites[10:20]] = -5e-324
-    return ChainParams(tuple(couplings.tolist()), tuple(fields.tolist()))
+    return ChainParams(couplings, fields)
 
 
 def test_scan_chain_matches_high_precision_transfer():

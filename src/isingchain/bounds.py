@@ -303,13 +303,6 @@ def compare_row(
     return reports
 
 
-def _report_rows(params: ChainParams, proof_route: bool) -> Iterator[list[BoundReport]]:
-    """compare_row(params, i) for every left site i, in row order: one term
-    pass over the whole chain, its rows summed a block at a time."""
-    n = params.n_edges
-    return _reports(_report_columns(params, 0, n, n, proof_route))
-
-
 ReportColumns = namedtuple("ReportColumns", "i j exact bounds slacks violated")
 
 

@@ -35,6 +35,7 @@ import numpy as np
 
 from .bounds import (
     BOUND_KEYS,
+    DOMINANCE_TOL,
     REPORT_COLUMNS,
     _report_columns,
     compare,
@@ -294,7 +295,7 @@ def cmd_decay(args: argparse.Namespace) -> int:
         if rate is None:
             flag = "no_rate"
         else:
-            flag = "ok" if rate >= bound_rate - 1e-12 else "violation"
+            flag = "ok" if rate >= bound_rate - DOMINANCE_TOL else "violation"
         n_violations += flag == "violation"
         rows.append(
             {"distance": d, "rate": rate, "bound_rate": bound_rate, "flag": flag}

@@ -148,30 +148,14 @@ def _ghost_disconnected(
 ) -> np.ndarray:
     """True where `site` cannot reach the ghost through open edges.
 
-    The component of a site is the maximal interval of open lattice edges
-    around it; it reaches the ghost iff any site in that interval has an open
-    ghost edge.
+    Each site is labelled by the number of closed lattice edges to its left,
+    so two sites share a label iff they are in the same component; `site`
+    reaches the ghost iff an open ghost edge carries its label.
     """
-    n_edges = lat_open.shape[-1]
-    shape = lat_open.shape[:-1]
-    if site > 0:
-        left = np.cumprod(lat_open[..., site - 1 :: -1].astype(np.int64), axis=-1).sum(
-            axis=-1
-        )
-    else:
-        left = np.zeros(shape, dtype=np.int64)
-    if site < n_edges:
-        right = np.cumprod(lat_open[..., site:].astype(np.int64), axis=-1).sum(axis=-1)
-    else:
-        right = np.zeros(shape, dtype=np.int64)
-    lo = site - left
-    hi = site + right
-    n_sites = gho_open.shape[-1]
-    csum = np.zeros(gho_open.shape[:-1] + (n_sites + 1,), dtype=np.int64)
-    np.cumsum(gho_open.astype(np.int64), axis=-1, out=csum[..., 1:])
-    top = np.take_along_axis(csum, (hi + 1)[..., None], axis=-1)[..., 0]
-    bot = np.take_along_axis(csum, lo[..., None], axis=-1)[..., 0]
-    return (top - bot) == 0
+    labels = np.zeros(gho_open.shape, dtype=np.int64)
+    np.cumsum(~lat_open, axis=-1, out=labels[..., 1:])
+    same = labels == labels[..., site, None]
+    return ~(same & gho_open).any(axis=-1)
 
 
 def _negative_mask(params: ChainParams) -> np.ndarray:

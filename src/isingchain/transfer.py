@@ -40,10 +40,10 @@ same pass (the bounds' edge factors and field sums, bounds.py). cumsum is
 add.accumulate, which adds in index order, so entry j - r - 1 of a row is
 the same running sum as a loop over j = r+1, r+2, ... would give (Higham
 2002, sec. 4.2: the error of a recursive sum depends on the order, so
-keeping it keeps the error bound). A single pair and log_abs_covariance_row
-are its one-row case and sweep --pairs all its all-rows case, so all of them
-give the same floats; the terms are elementwise, so they do not depend on
-the window either.
+keeping it keeps the error bound). A single pair (log_abs_covariance) reads
+the last entry of its one-row case and sweep --pairs all runs its all-rows
+case, so both give the same floats; the terms are elementwise, so they do
+not depend on the window either.
 
 The covariance is NOT computed as pair_expectation minus the product of site
 means: that difference cancels catastrophically once the covariance is
@@ -281,9 +281,10 @@ def log_abs_covariance(params: ChainParams, i: int, j: int) -> tuple[float, bool
     """(log |cov(sigma_i, sigma_j)|, whether cov < 0) for sites i < j.
 
     The log is -inf when a window coupling is 0. Unlike covariance, it stays
-    finite where |cov| itself underflows.
+    finite where |cov| itself underflows. It is the last entry of the one row
+    of _row_sums from i to j, so a row or all rows give the same floats.
     """
-    logs, negatives = log_abs_covariance_row(params, i, j)
+    ((_, (logs,), negatives, _, _),) = _row_sums([params], i, j, 1)
     return logs.item(-1), negatives.item(-1)
 
 
@@ -331,19 +332,6 @@ def _covariance_terms(
         adjacent = _log_edge_factor(jk) - 2.0 * log_den
     interior = 2.0 * log_cosh[2 * m :]
     return adjacent, interior, np.logical_xor.accumulate(flip)
-
-
-def log_abs_covariance_row(
-    params: ChainParams, i: int, stop: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """log_abs_covariance(params, i, j) for every j in (i, stop], entry j - i - 1.
-
-    The one-row case of _row_sums: a single pair, which reads the last
-    entry of the row to it, gets the same floats. Every entry past a zero
-    coupling is (-inf, False).
-    """
-    ((_, (logs,), negatives, _, _),) = _row_sums([params], i, stop, 1)
-    return logs[0], negatives[0]
 
 
 # Entries per column in a block of rows that _row_sums sums at once.

@@ -25,7 +25,8 @@ from isingchain.bounds import (
     REPORT_COLUMNS,
     BoundReport,
     _bound_blocks,
-    _report_rows,
+    _report_columns,
+    _reports,
     decay_rates,
     format_cell,
 )
@@ -364,7 +365,8 @@ class TestCompareRow:
             compare_row(params, i, proof_route=proof_route)
             for i in range(params.n_sites - 1)
         ]
-        assert list(_report_rows(params, proof_route)) == want
+        n = params.n_edges
+        assert list(_reports(_report_columns(params, 0, n, n, proof_route))) == want
 
     def test_row_bounds_equal_bound_functions(self):
         params = ferro_params(np.random.default_rng(97), 12, h_low=0.0)

@@ -226,21 +226,23 @@ def test_gray_gather_is_the_bond_product(width):
     params = random_params(rng, width, -1e3, 1e3, -1e3, 1e3)
     j_arr, h_arr = np.array(params.couplings), np.array(params.fields)
     energy = -(low[:, :-1] * low[:, 1:]) @ j_arr - low @ h_arr
-    ((_, w, _, shift),) = chain._weighted_blocks(params, low)
-    assert np.array_equal(w, np.exp(-shift - energy))
+    _, (table,), _, (c,), shift = chain._factors(params)
+    assert np.array_equal(c * table, np.exp(-shift - energy))
 
 
 def test_enumeration_peak_memory_below_one_bond_table():
-    # The 2^16 x 15 float64 bond-product table alone is 7.5 MiB.
+    # The 2^16 x 15 float64 bond-product table alone is 7.5 MiB; the bound
+    # holds from one table and one block (16 sites) up to the cap.
     chain._low_spins(16)
-    params = random_params(np.random.default_rng(16), 16)
-    tracemalloc.start()
-    try:
-        params.enumeration
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < (1 << 16) * 15 * 8
+    for n in (16, chain.ENUMERATION_CAP):
+        params = random_params(np.random.default_rng(16), n)
+        tracemalloc.start()
+        try:
+            params.enumeration
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (1 << 16) * 15 * 8, (n, peak)
 
 
 @pytest.mark.parametrize("seed", [24, 2424])

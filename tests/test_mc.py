@@ -18,6 +18,7 @@ from isingchain import (
 from isingchain import currents
 from isingchain.currents import (
     _class_chunks,
+    _ghost_disconnected,
     _mixed_radix_rows,
     _moment_terms,
     _negative_mask,
@@ -195,6 +196,28 @@ GATE_CHAINS = [
     (ChainParams((0.6, -0.9, 1.3), (-0.2, 0.4, 0.1, -0.5)), 1, 3),
     (ChainParams((0.6, -0.9, 1.3), (-0.2, 0.4, 0.1, -0.5)), 0, 3),
 ]
+
+
+def flood_fill_disconnected(lat_open, gho_open, site):
+    """Whether `site` misses the ghost, by growing its component edge by edge."""
+    seen, todo = {site}, [site]
+    while todo:
+        x = todo.pop()
+        for y, edge in ((x - 1, x - 1), (x + 1, x)):
+            if 0 <= edge < len(lat_open) and lat_open[edge] and y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return not any(gho_open[x] for x in seen)
+
+
+@pytest.mark.parametrize("n_sites", range(1, 9))
+def test_ghost_disconnected_is_the_flood_fill(n_sites):
+    rng = np.random.default_rng(n_sites)
+    lat = rng.random((500, n_sites - 1)) < rng.uniform(0.2, 0.9, (500, 1))
+    gho = rng.random((500, n_sites)) < rng.uniform(0.0, 0.6, (500, 1))
+    for site in range(n_sites):
+        want = [flood_fill_disconnected(a, g, site) for a, g in zip(lat, gho)]
+        assert _ghost_disconnected(lat, gho, site).tolist() == want, site
 
 
 class TestClassLaw:

@@ -52,7 +52,6 @@ from isingchain.transfer import (
     _row_sums,
     _scan_pass,
     log_abs_covariance,
-    log_abs_covariance_row,
 )
 
 from conftest import end_field_tolerance, random_params
@@ -668,7 +667,8 @@ def test_rows_off_one_term_table_equal_single_rows(monkeypatch, params, row_bloc
         rows += zip(window[:, 0].tolist(), logs, negatives)
     assert [i for i, _, _ in rows] == list(range(n - 1))
     for i, logs, negatives in rows:
-        want_logs, want_negatives = log_abs_covariance_row(params, i, n - 1)
+        ((_, (row_logs,), row_negatives, _, _),) = _row_sums([params], i, n - 1, 1)
+        want_logs, want_negatives = row_logs[0], row_negatives[0]
         assert logs[: n - 1 - i].tobytes() == want_logs.tobytes()
         assert negatives[: n - 1 - i].tolist() == want_negatives.tolist()
 

@@ -329,10 +329,11 @@ def _report_columns(
     bound and its slack as dicts keyed by wire label in _bound_blocks' order,
     and ``violated``, 1 where a slack is below -DOMINANCE_TOL, else 0. The
     exact covariance comes off its log through _from_log and each bound
-    through _exp, both math.exp per pair, so they are the floats of a single
-    covariance or bound call; slacks and flags are array expressions. Below
-    the enumeration cap every pair is checked against the oracle's
-    covariance matrix, and the first mismatch in row order raises.
+    through math.exp, both per pair, so they are the floats of a single
+    covariance or bound call; a block in which a bound overflows takes its
+    bounds through _exp, which reads inf there. Slacks and flags are array
+    expressions. Below the enumeration cap every pair is checked against the
+    oracle's covariance matrix, and the first mismatch in row order raises.
     """
     oracle = params.enumeration.cov if params.n_sites <= ENUMERATION_CAP else None
     blocks = _bound_blocks(params, i, stop, rows, proof_route)
@@ -351,7 +352,11 @@ def _report_columns(
                     f"solver covariance {exact[k]!r} vs enumeration {check.item(k)!r} "
                     f"at ({r.item(k)}, {j.item(k)})"
                 )
-        bounds = {key: list(map(_exp, b[pairs].tolist())) for key, b in log_bounds.items()}
+        logs_by_key = {key: b[pairs].tolist() for key, b in log_bounds.items()}
+        try:
+            bounds = {key: list(map(math.exp, b)) for key, b in logs_by_key.items()}
+        except OverflowError:  # lemma3's partition ratio past the float range
+            bounds = {key: list(map(_exp, b)) for key, b in logs_by_key.items()}
         # lemma3 bounds |cov|, the others cov
         magnitudes = {"lemma3": np.abs(cov)}
         slacks = {key: np.array(b) - magnitudes.get(key, cov) for key, b in bounds.items()}

@@ -11,7 +11,9 @@ run over all 2^n_sites configurations, each weight a table entry times a
 block factor (_factors), in a fixed order, so results are reproducible bit
 for bit, and every operation refuses inputs above the enumeration cap
 instead of approximating. log Z, the means and the covariances come from
-one such pass per instance, cached on it as ``params.enumeration``.
+one such pass per instance, cached on it as ``params.enumeration``; it folds
+each weight table into a 2-D grid over the two halves of its sites, so each
+moment is a contraction of row sums, column sums or one product.
 """
 
 from __future__ import annotations
@@ -41,8 +43,6 @@ ENUMERATION_CAP = 24
 PARAM_LIMIT = 1e3
 
 _BLOCK_BITS = 16
-# Rows of the spin table per second-moment product in _enumerate.
-_MOMENT_ROWS = 4096
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -263,11 +263,11 @@ def _check_pair(
 
 @lru_cache(maxsize=None)
 def _low_spins(n_low: int) -> np.ndarray:
-    """Spin table of the low sites 0..n_low-1, n_low = min(_BLOCK_BITS, n_sites).
+    """Spin table of the sites 0..n_low-1 (the low sites, or one half of them).
 
     Row k carries spin -1 at site x when bit x of k is 1, +1 otherwise. It
-    depends only on n_low, so it is built once per width (at most _BLOCK_BITS
-    of them) and shared read-only.
+    depends only on n_low, so it is built once per width (at most
+    _BLOCK_BITS + 1 of them) and shared read-only.
     """
     idx = np.arange(1 << n_low, dtype=np.uint32)
     spins = ((idx[:, None] >> np.arange(n_low, dtype=np.uint32)) & 1).astype(np.float64)
@@ -344,28 +344,37 @@ def _enumerate(params: ChainParams) -> Enumeration:
     """Every moment off the factors (_factors), with no walk over the blocks.
 
     Per table p it sums c and c times each high spin over the blocks that
-    read p; with the tables' sums and their products with the spin table s,
-    that gives Z, every mean and the high x low second moments. The low x
-    low block is sum_k W_k s(k) s(k)^T with W the c-weighted sum of the
-    tables, one product per _MOMENT_ROWS rows of s so the weighted copy
-    stays at 0.5 MiB, and the high x high block is one product of the high
+    read p. Each table, and W = c_sum . tables, is folded into a
+    (2^(L-A), 2^A) grid [b, a] with A = ceil(L/2) and k = a + 2^A b, so the
+    low spin table is the Kronecker product of sa (sites 0..A-1, read on a)
+    and sb (sites A..L-1, read on b), and each sum over the 2^L entries is a
+    2-D contraction. A table's low first moments are its sum over b times
+    sa and its sum over a times sb; Z is c_sum times the tables' sums. The
+    low x low second moments are (sa^T * W summed over b) @ sa, (sb^T * W
+    summed over a) @ sb and, between the halves, sa^T W^T sb. The high x low
+    block is the per-table sums of c times each high spin, times the tables'
+    low first moments, and the high x high block is one product of the high
     spins weighted by each block's total weight.
     """
     low, tables, high, c, shift = _factors(params)
     n, n_low = params.n_sites, low.shape[1]
+    half = (n_low + 1) // 2
+    sa, sb = _low_spins(half), _low_spins(n_low - half)
     c_sum = _by_table(c, len(tables))
     c_high = _by_table(c[:, None] * high, len(tables))
-    masses, table_low = tables.sum(axis=1), tables @ low
+    masses = tables.sum(axis=1)
+    grids = tables.reshape(len(tables), len(sb), len(sa))
+    table_low = np.concatenate((grids.sum(axis=1) @ sa, grids.sum(axis=2) @ sb), axis=1)
     # np.dot calls BLAS here; matmul over an inner dimension of 1 took 3x as long
-    w_low = np.dot(c_sum, tables)
+    w = np.dot(c_sum, tables).reshape(len(sb), len(sa))
     z = float(c_sum @ masses)
     first = np.concatenate((c_sum @ table_low, masses @ c_high))
+    # only the upper triangle is read (cov below mirrors it)
     second = np.zeros((n, n), dtype=np.float64)
-    for start in range(0, len(low), _MOMENT_ROWS):
-        rows = slice(start, start + _MOMENT_ROWS)
-        second[:n_low, :n_low] += (low[rows].T * w_low[rows]) @ low[rows]
-    second[n_low:, :n_low] = c_high.T @ table_low
-    second[:n_low, n_low:] = second[n_low:, :n_low].T
+    second[:half, :half] = (sa.T * w.sum(axis=0)) @ sa
+    second[half:n_low, half:n_low] = (sb.T * w.sum(axis=1)) @ sb
+    second[:half, half:n_low] = sa.T @ (w.T @ sb)
+    second[:n_low, n_low:] = (c_high.T @ table_low).T
     block_mass = (c.reshape(-1, len(tables)) * masses).ravel()
     second[n_low:, n_low:] = (high.T * block_mass) @ high
     means = first / z

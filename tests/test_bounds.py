@@ -1,5 +1,6 @@
 """Bound evaluators: closed forms, dominance, applicability and reports."""
 
+import itertools
 import math
 
 import numpy as np
@@ -379,6 +380,22 @@ class TestCompareRow:
                 "zero_field": bound_zero_field(params, i, j),
                 "thm2": bound_nonneg_field(params, i, j),
             }
+
+    def test_overflowing_block_reads_inf(self):
+        # lemma3 overflows to inf on the pair (0, 1) and is 0 across the
+        # zero coupling, in one block whose other bounds stay finite
+        p = ChainParams((1.0, 0.0, 1000.0), (0.0, 0.0, 1000.0, -1000.0))
+        n = p.n_edges
+        blocks = list(_report_columns(p, 0, n, n, False))
+        assert len(blocks) == 1 and math.inf in blocks[0].bounds["lemma3"]
+        for report in itertools.chain.from_iterable(_reports(iter(blocks))):
+            i, j = report.i, report.j
+            assert report.bounds == {
+                "lemma3": bound_abs_envelope(p, i, j),
+                "thm1": bound_signed_field(p, i, j),
+                "zero_field": bound_zero_field(p, i, j),
+            }
+            assert math.isfinite(report.bounds["thm1"] + report.bounds["zero_field"])
 
     def test_pairs_and_preconditions(self):
         p = ChainParams((1.0, 0.5, 0.2), (0.1, 0.2, 0.3, 0.4))

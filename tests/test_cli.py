@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -61,11 +62,13 @@ def kv_csv(text):
 @pytest.fixture
 def violating_bounds(monkeypatch):
     """Make every report the CLI gets shift each bound 1 below its value: a
-    single pair and a sweep's columns both read each bound through _exp."""
+    single pair and a sweep's columns both read each bound off its log by
+    the bounds module's math.exp."""
     import isingchain.bounds as bounds_mod
 
-    real_exp = bounds_mod._exp
-    monkeypatch.setattr(bounds_mod, "_exp", lambda log_bound: real_exp(log_bound) - 1.0)
+    shifted = types.SimpleNamespace(**vars(math))
+    shifted.exp = lambda log_bound: math.exp(log_bound) - 1.0
+    monkeypatch.setattr(bounds_mod, "math", shifted)
 
 
 @pytest.fixture

@@ -5,12 +5,14 @@ covariance_enum call reran the whole 2^N enumeration, with a full spin matrix
 per block, and enum_summary accumulated log Z and the means the same way. The
 cached pass must agree with them to 1e-12 absolute on every mean and every
 pair, and to 1e-14 relative on log Z, also on instances whose running shift
-rises between blocks.
+rises between blocks. Below 13 sites, log Z, every mean and every covariance
+are also gated against a 50-digit mpmath enumeration.
 """
 
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -258,3 +260,66 @@ def test_oracle_at_the_cap_matches_solver(seed):
             value = covariance_enum(params, i, j)
             worst = max(worst, excess(covariance(params, i, j), value))
     assert worst <= 1.0
+
+
+def mp_enumeration(params, digits=50):
+    """(log Z, means, upper-triangle covariances) of a `digits`-digit sum over
+    all 2^N configurations, the weights exp(-H - shift) each taken once.
+
+    The float inputs are exact in mpmath and each energy is an fsum of them,
+    so the reference's only rounding is at the 50th digit. Means and second
+    moments come off sums of the weights whose spins differ: <s_x> = 1 - 2
+    sum_{s_x = -1} w / Z and <s_x s_y> = 1 - 2 sum_{s_x != s_y} w / Z.
+    """
+    n = params.n_sites
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1 == 1
+    with mpmath.workdps(digits):
+        terms = [*map(mpmath.mpf, params.couplings.tolist() + params.fields.tolist())]
+        neg = []
+        for row in np.where(bits, -1, 1).tolist():
+            signs = [a * b for a, b in zip(row, row[1:])] + row
+            neg.append(mpmath.fsum(t * s for t, s in zip(terms, signs)))
+        top = max(neg)
+        w = np.array([mpmath.exp(e - top) for e in neg], dtype=object)
+        z = mpmath.fsum(w)
+        means = [1 - 2 * mpmath.fsum(w[bits[:, x]]) / z for x in range(n)]
+        cov = {}
+        for x in range(n):
+            for y in range(x, n):
+                second = 1 - 2 * mpmath.fsum(w[bits[:, x] != bits[:, y]]) / z
+                cov[x, y] = second - means[x] * means[y]
+        return top + mpmath.log(z), means, cov
+
+
+def _mp_instances():
+    rng = np.random.default_rng(2020)
+    out = {}
+    for n in range(1, 13):
+        tied = np.resize([700.0, -700.0], n - 1)
+        out[f"signed-n{n}"] = random_params(rng, n)
+        out[f"wide-n{n}"] = random_params(rng, n, -1e3, 1e3, -1e3, 1e3)
+        # every configuration ties with its global flip
+        out[f"tied-n{n}"] = ChainParams(tied, np.zeros(n))
+        out[f"tied-field-n{n}"] = ChainParams(tied, np.resize([0.2, -0.4], n))
+    return out
+
+
+MP_INSTANCES = _mp_instances()
+
+
+@pytest.mark.parametrize("params", MP_INSTANCES.values(), ids=MP_INSTANCES)
+def test_matches_mpmath_enumeration(params):
+    # Chains of 1-12 sites are their own low half, so odd and even n fold
+    # into grids of 2^ceil(n/2) x 2^floor(n/2) with distinct and equal sides.
+    # log Z is the float energy of one configuration, a sum of 2N - 1 terms
+    # whose rounding is below N 2^-52 times the sum of |J| and |h| (Higham
+    # 2002, ch. 4), plus the log of a weight sum below 2^N; means and
+    # covariances are checked to the oracle's absolute 1e-12.
+    ref_log_z, ref_means, ref_cov = mp_enumeration(params)
+    oracle, n = params.enumeration, params.n_sites
+    scale = float(np.abs(params.couplings).sum() + np.abs(params.fields).sum()) + n
+    assert abs(float(ref_log_z - oracle.log_z)) <= n * 2.0**-52 * scale
+    for x, ref in enumerate(ref_means):
+        assert abs(float(ref - oracle.means[x])) <= 1e-12, x
+    for (x, y), ref in ref_cov.items():
+        assert abs(float(ref - oracle.cov[x, y])) <= 1e-12, (x, y)

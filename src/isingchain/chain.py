@@ -11,9 +11,9 @@ run over all 2^n_sites configurations, each weight a table entry times a
 block factor (_factors), in a fixed order, so results are reproducible bit
 for bit, and every operation refuses inputs above the enumeration cap
 instead of approximating. log Z, the means and the covariances come from
-one such pass per instance, cached on it as ``params.enumeration``; it folds
-each weight table into a 2-D grid over the two halves of its sites, so each
-moment is a contraction of row sums, column sums or one product.
+one such pass per instance, cached on it as ``params.enumeration``. The
+sites are cut into three pieces of at most 8 sites each, and every reader sums
+the weights against one matrix per piece in one contraction (_contract).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
@@ -261,70 +261,85 @@ def _check_pair(
     return (i, j) if i < j else (j, i)
 
 
-@lru_cache(maxsize=None)
-def _low_spins(n_low: int) -> np.ndarray:
-    """Spin table of the sites 0..n_low-1 (the low sites, or one half of them).
+def _cuts(n_sites: int) -> tuple[int, int, int, int]:
+    """(0, A, L, N): the oracle's three pieces of sites [0, A), [A, L) and
+    [L, N), with L = min(_BLOCK_BITS, N) low sites and A = ceil(L / 2)."""
+    n_low = min(_BLOCK_BITS, n_sites)
+    return 0, (n_low + 1) // 2, n_low, n_sites
 
-    Row k carries spin -1 at site x when bit x of k is 1, +1 otherwise. It
-    depends only on n_low, so it is built once per width (at most
-    _BLOCK_BITS + 1 of them) and shared read-only.
-    """
-    idx = np.arange(1 << n_low, dtype=np.uint32)
-    spins = ((idx[:, None] >> np.arange(n_low, dtype=np.uint32)) & 1).astype(np.float64)
-    spins *= -2.0
-    spins += 1.0
-    spins.flags.writeable = False
-    return spins
+
+def _neg_energy(params: ChainParams, lo: int, spins: np.ndarray) -> np.ndarray:
+    """-H of each row of the spin table of sites lo, lo + 1, ... on their own
+    sub-chain (its own bonds and fields)."""
+    hi = lo + spins.shape[1]
+    bonds = (spins[:, :-1] * spins[:, 1:]) @ params.couplings[lo : hi - 1]
+    return bonds + spins @ params.fields[lo:hi]
 
 
 def _factors(
     params: ChainParams,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
-    """(low, tables, high, c, shift): every Gibbs weight as a product of two
-    factors, weight = exp(shift) * c[b] * tables[b & 1][k].
+) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray, float]:
+    """(spins, tables, c, shift): every Gibbs weight as a product of two
+    factors, weight = exp(shift) * c[h] * tables[h & 1][b, a].
 
-    Configuration k + b * 2^L (L = low.shape[1] = min(_BLOCK_BITS, n_sites))
-    has spin +1 at site x when bit x of its index is 0: row k of the low spin
-    table ``low`` gives sites 0..L-1 and row b of ``high`` sites L..N-1. Once
-    the spin on site L (bit 0 of b) is fixed, the low and high halves are
-    independent, so the low chain's energy table in its version for that
-    spin (the link coupling J[L-1] sees it) is shifted by its own minimum and
-    exponentiated once, into ``tables``; a chain of at most L sites has one
-    table and one block. The table's bond term is one product of the spin
-    table with J, read at the Gray codes k ^ (k >> 1): bit x of that code is
-    bit x XOR bit x+1 of k, so its row of the spin table holds the bond signs
-    of configuration k. c[b] = exp(top - e_high[b] - shift) carries the high
-    chain's energy and the table's shift top, and shift is the largest
-    -energy, so the largest table entry, c and weight are exactly 1 and
+    ``spins`` holds the spin table of each piece of _cuts, at most 2^8 rows
+    each: row k carries spin -1 at the piece's site x when bit x of k is 1,
+    +1 otherwise, and configuration a + 2^A b + 2^L h has rows a, b and h.
+    Once the spin on site L (bit 0 of h) is fixed, the low sites [0, L) and
+    the high ones are independent, so the low chain's -H in its version for
+    that spin (the link coupling J[L-1] sees it) is shifted by its own
+    maximum and exponentiated once, into ``tables``; a chain of at most L
+    sites has one table and one h. On the grid [b, a] that -H is an outer
+    sum, built in one pass: piece a's own -H plus, per row b and per spin on
+    site A-1, piece b's own -H and the bonds J[A-1] and J[L-1] that leave it.
+    No table of 2^L spin rows is formed. c[h] = exp(top + e_high[h] - shift)
+    carries the high chain's -H and the table's shift top, and shift is the
+    largest -H, so the largest table entry, c and weight are exactly 1 and
     nothing overflows however large |J| and |h| are. Ratios of sums are
     shift-free; log Z is shift plus the log of the weight sum.
     """
-    n, low = params.n_sites, _low_spins(min(_BLOCK_BITS, params.n_sites))
-    n_low = low.shape[1]
-    j_arr, h_arr = params.couplings, params.fields
-    k = np.arange(len(low), dtype=np.uint32)
-    bonds = (low[:, :-1] @ j_arr[: n_low - 1])[k ^ (k >> 1)]
-    energy = -bonds - low @ h_arr[:n_low]
-    if n_low == n:
-        energies = energy[None]
-    else:
-        link = j_arr[n_low - 1] * low[:, -1]
-        energies = np.stack((energy - link, energy + link))
-    top = -energies.min(axis=1)
-    tables = np.exp(-top[:, None] - energies)
-    b = np.arange(1 << (n - n_low))
-    high = 1.0 - 2.0 * ((b[:, None] >> np.arange(n - n_low)) & 1)
-    e_high = -(high[:, :-1] * high[:, 1:]) @ j_arr[n_low:] - high @ h_arr[n_low:]
-    exponent = top[b & (len(tables) - 1)] - e_high
+    _, half, n_low, _ = cuts = _cuts(params.n_sites)
+    # piece a is the widest, and the other pieces' tables are corners of its table
+    k = np.arange(1 << half)
+    sa = 1.0 - 2.0 * ((k[:, None] >> np.arange(half)) & 1)
+    spins = tuple(sa[: 1 << (hi - lo), : hi - lo] for lo, hi in zip(cuts, cuts[1:]))
+    e_a, e_b, e_high = (_neg_energy(params, lo, s) for lo, s in zip(cuts, spins))
+    _, sb, sh = spins
+    # rest[p, b, q]: -H of piece b and of the bonds (A-1, A) and (L-1, L) for
+    # spin (+1, -1)[q] on site A-1, the top bit of a, and (+1, -1)[p] on site L
+    # (a one-site chain has no piece b and no bond A-1)
+    cross = params.couplings[half - 1] * sb[:, 0] if n_low > half else 0.0
+    rest = np.stack((e_b + cross, e_b - cross), axis=1)[None]
+    if len(sh) > 1:
+        link = params.couplings[n_low - 1] * sb[:, -1:]
+        rest = np.concatenate((rest + link, rest - link))
+    tables = (rest[..., None] + e_a.reshape(2, -1)).reshape(len(rest), len(sb), -1)
+    top = tables.max(axis=(1, 2))
+    tables -= top[:, None, None]
+    np.exp(tables, out=tables)
+    exponent = top[np.arange(len(sh)) & (len(tables) - 1)] + e_high
     shift = float(exponent.max())
-    return low, tables, high, np.exp(exponent - shift), shift
+    return spins, tables, np.exp(exponent - shift), shift
 
 
-def _by_table(values: np.ndarray, n_tables: int) -> np.ndarray:
-    """Per-block rows summed over the blocks of each table (block b reads
-    table b & 1), one row per table."""
-    rows = values.reshape(len(values) // n_tables, n_tables, *values.shape[1:])
-    return rows.sum(axis=0)
+def _contract(
+    tables: np.ndarray, c: np.ndarray, pa: np.ndarray, pb: np.ndarray, ph: np.ndarray
+) -> np.ndarray:
+    """The sum over every configuration (a, b, h) of its weight c[h] *
+    tables[h & 1][b, a] times pa[a, x] * pb[b, y] * ph[h, z], as [x, y, z].
+
+    A reader of the factors picks one matrix per piece, whose rows are the
+    rows of that piece's spin table. Per table, the weights meet pa and pb
+    in two matrix products, in whichever order takes fewer multiplications;
+    one product over the tables then brings in c and ph.
+    """
+    n_tables, rows_b, rows_a = tables.shape
+    x, y = pa.shape[1], pb.shape[1]
+    # per table, the sum of c[h] * ph[h] over the h that read it
+    c_high = np.array([c[p::n_tables] @ ph[p::n_tables] for p in range(n_tables)])
+    a_first = rows_b * x * (rows_a + y) <= y * rows_a * (rows_b + x)
+    grid = pb.T @ (tables @ pa) if a_first else (pb.T @ tables) @ pa
+    return (c_high.T @ grid.reshape(n_tables, -1)).reshape(-1, y, x).transpose()
 
 
 class Enumeration(NamedTuple):
@@ -341,48 +356,45 @@ class Enumeration(NamedTuple):
 
 
 def _enumerate(params: ChainParams) -> Enumeration:
-    """Every moment off the factors (_factors), with no walk over the blocks.
+    """Every moment off one contraction of the factors (_factors, _contract).
 
-    Per table p it sums c and c times each high spin over the blocks that
-    read p. Each table, and W = c_sum . tables, is folded into a
-    (2^(L-A), 2^A) grid [b, a] with A = ceil(L/2) and k = a + 2^A b, so the
-    low spin table is the Kronecker product of sa (sites 0..A-1, read on a)
-    and sb (sites A..L-1, read on b), and each sum over the 2^L entries is a
-    2-D contraction. A table's low first moments are its sum over b times
-    sa and its sum over a times sb; Z is c_sum times the tables' sums. The
-    low x low second moments are (sa^T * W summed over b) @ sa, (sb^T * W
-    summed over a) @ sb and, between the halves, sa^T W^T sb. The high x low
-    block is the per-table sums of c times each high spin, times the tables'
-    low first moments, and the high x high block is one product of the high
-    spins weighted by each block's total weight.
+    Each piece's matrix is [1 | its spins | the product of each pair of its
+    spins], so entry [x, y, z] of the contraction sums the weights times one
+    column of each piece. Z reads the ones column of all three; a site's
+    first moment reads its spin column and the others' ones; a pair within
+    one piece reads that piece's product column, and a pair across two
+    pieces their two spin columns. The second moment of a site with itself
+    is Z, as sigma^2 = 1.
     """
-    low, tables, high, c, shift = _factors(params)
-    n, n_low = params.n_sites, low.shape[1]
-    half = (n_low + 1) // 2
-    sa, sb = _low_spins(half), _low_spins(n_low - half)
-    c_sum = _by_table(c, len(tables))
-    c_high = _by_table(c[:, None] * high, len(tables))
-    masses = tables.sum(axis=1)
-    grids = tables.reshape(len(tables), len(sb), len(sa))
-    table_low = np.concatenate((grids.sum(axis=1) @ sa, grids.sum(axis=2) @ sb), axis=1)
-    # np.dot calls BLAS here; matmul over an inner dimension of 1 took 3x as long
-    w = np.dot(c_sum, tables).reshape(len(sb), len(sa))
-    z = float(c_sum @ masses)
-    first = np.concatenate((c_sum @ table_low, masses @ c_high))
+    spins, tables, c, shift = _factors(params)
+    widths = [s.shape[1] for s in spins]
+    n_pairs = [w * (w - 1) // 2 for w in widths]
+    # the pairs x < y of the first, widest piece, ordered by y: those of a
+    # piece of width w are the first w (w - 1) / 2
+    y, x = np.nonzero(np.tri(widths[0], k=-1, dtype=bool))
+    columns = [
+        np.hstack((np.ones((len(s), 1)), s, s[:, x[:k]] * s[:, y[:k]]))
+        for s, k in zip(spins, n_pairs)
+    ]
+    sums = _contract(tables, c, *columns)
+    n, cuts = params.n_sites, _cuts(params.n_sites)
+    sites = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    spin = [slice(1, 1 + w) for w in widths]
+    z = float(sums[0, 0, 0])
+    first = np.empty(n)
     # only the upper triangle is read (cov below mirrors it)
-    second = np.zeros((n, n), dtype=np.float64)
-    second[:half, :half] = (sa.T * w.sum(axis=0)) @ sa
-    second[half:n_low, half:n_low] = (sb.T * w.sum(axis=1)) @ sb
-    second[:half, half:n_low] = sa.T @ (w.T @ sb)
-    second[:n_low, n_low:] = (c_high.T @ table_low).T
-    block_mass = (c.reshape(-1, len(tables)) * masses).ravel()
-    second[n_low:, n_low:] = (high.T * block_mass) @ high
+    second = np.diag(np.full(n, z))
+    own = (sums[:, 0, 0], sums[0, :, 0], sums[0, 0])
+    for lo, w, k, sums_q in zip(cuts, widths, n_pairs, own):
+        first[lo : lo + w] = sums_q[1 : 1 + w]
+        second[lo + x[:k], lo + y[:k]] = sums_q[1 + w :]
+    second[sites[0], sites[1]] = sums[spin[0], spin[1], 0]
+    second[sites[0], sites[2]] = sums[spin[0], 0, spin[2]]
+    second[sites[1], sites[2]] = sums[0, spin[1], spin[2]]
     means = first / z
     cov = second / z - np.outer(means, means)
     cov = np.triu(cov) + np.triu(cov, 1).T
-    means.flags.writeable = False
-    cov.flags.writeable = False
-    return Enumeration(shift + math.log(z), means, cov)
+    return Enumeration(shift + math.log(z), _read_only(means), _read_only(cov))
 
 
 def partition_function_enum(params: ChainParams) -> float:
@@ -399,16 +411,21 @@ def partition_function_enum(params: ChainParams) -> float:
 
 
 def expectation_enum(params: ChainParams, sites: Sequence[int]) -> float:
-    """<prod_{x in sites} sigma_x> by exact enumeration; empty sites give 1."""
+    """<prod_{x in sites} sigma_x> by exact enumeration; empty sites give 1.
+
+    Each piece's matrix is [1 | the product of its selected spins], so the
+    contraction's [1, 1, 1] entry over its [0, 0, 0] entry is the mean.
+    """
     _require_enumerable(params)
-    cols = sorted({_check_site(params, x) for x in sites})
-    low, tables, high, c, _ = _factors(params)
-    n_low = low.shape[1]
-    low_prod = low[:, [x for x in cols if x < n_low]].prod(axis=1)
-    sign = high[:, [x - n_low for x in cols if x >= n_low]].prod(axis=1)
-    num = _by_table(c * sign, len(tables)) @ (tables @ low_prod)
-    den = _by_table(c, len(tables)) @ tables.sum(axis=1)
-    return float(num / den)
+    cols = {_check_site(params, x) for x in sites}
+    spins, tables, c, _ = _factors(params)
+    cuts = _cuts(params.n_sites)
+    columns = []
+    for s, lo, hi in zip(spins, cuts, cuts[1:]):
+        product = s[:, [x - lo for x in cols if lo <= x < hi]].prod(axis=1)
+        columns.append(np.column_stack((np.ones(len(s)), product)))
+    sums = _contract(tables, c, *columns)
+    return float(sums[1, 1, 1] / sums[0, 0, 0])
 
 
 def covariance_enum(params: ChainParams, i: int, j: int) -> float:
@@ -422,28 +439,23 @@ def window_marginal_enum(params: ChainParams, i: int, j: int) -> np.ndarray:
     """Marginal distribution of (sigma_i, ..., sigma_j) under the full model.
 
     Entry k is the probability of the window configuration whose site i+b
-    carries spin +1 when bit b of k is 0 (same indexing as _factors).
+    carries spin +1 when bit b of k is 0 (same indexing as _factors). Each
+    piece's matrix is one-hot in the bits of its window sites, so the
+    contraction's [x, y, z] entry is the mass of window configuration
+    x + 2^(width in the first piece) y + ..., read off its transpose in order.
     """
     _require_enumerable(params)
-    i = _check_site(params, i, "i")
-    j = _check_site(params, j, "j")
+    i, j = _check_site(params, i, "i"), _check_site(params, j, "j")
     if i > j:
         raise PreconditionError("window needs i <= j")
-    low, tables, high, c, _ = _factors(params)
-    n_low = low.shape[1]
-    # Window sites below n_low index entries within a table; the rest pick
-    # each block's row of the output, read as rows of the low part's span.
-    split = max(min(j + 1, n_low), i)
-    low_idx = (low[:, i:split] < 0).astype(np.int64) @ (
-        1 << np.arange(split - i, dtype=np.int64)
-    )
-    span = 1 << (split - i)
-    high_bits = high[:, max(split - n_low, 0) : max(j + 1 - n_low, 0)] < 0
-    row = high_bits.astype(np.int64) @ (1 << np.arange(j + 1 - split, dtype=np.int64))
-    row_c = np.zeros((1 << (j + 1 - split), len(tables)), dtype=np.float64)
-    np.add.at(row_c, (row, np.arange(len(c)) & (len(tables) - 1)), c)
-    counts = [np.bincount(low_idx, weights=t, minlength=span) for t in tables]
-    out = (row_c @ np.array(counts)).ravel()
+    _, tables, c, _ = _factors(params)
+    cuts = _cuts(params.n_sites)
+    one_hot = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        width = max(min(j + 1, hi) - max(i, lo), 0)
+        bits = (np.arange(1 << (hi - lo)) >> (max(i, lo) - lo)) & ((1 << width) - 1)
+        one_hot.append((bits[:, None] == np.arange(1 << width)).astype(np.float64))
+    out = _contract(tables, c, *one_hot).transpose().ravel()
     return out / out.sum()
 
 

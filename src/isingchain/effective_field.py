@@ -24,9 +24,7 @@ import numpy as np
 
 from .chain import ChainParams, _check_pair
 from .errors import PreconditionError
-from .numeric import log_cosh
-
-_LOG2 = math.log(2.0)
+from .numeric import _LOG2, log_cosh
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,12 @@ import pytest
 
 from isingchain import (
     ChainParams,
+    SpinConfig,
     covariance,
     covariance_enum,
     enum_summary,
     expectation_enum,
+    hamiltonian,
     log_partition,
     site_mean,
     window_marginal_enum,
@@ -187,9 +189,12 @@ def test_enumeration_built_once_and_read_only():
         oracle.cov[0, 1] = 0.0
 
 
-# Windows and site sets below, across and above the 16 low sites of a block.
-WINDOWS = [(0, 0), (0, 3), (13, 17), (15, 16), (16, 17), (17, 17), (0, 17)]
-SITE_SETS = [(), (0,), (17,), (2, 16), (0, 15, 16, 17), (3, 8, 17)]
+# Windows and site sets below, across and above the cuts of an 18-site chain
+# into the pieces [0, 8), [8, 16) and [16, 18).
+WINDOWS = [
+    (0, 0), (0, 3), (13, 17), (15, 16), (16, 17), (17, 17), (0, 17), (7, 8), (5, 10)
+]
+SITE_SETS = [(), (0,), (17,), (2, 16), (0, 15, 16, 17), (3, 8, 17), (7, 8)]
 
 
 @pytest.mark.parametrize(
@@ -212,30 +217,38 @@ def test_block_walkers_match_reference(params):
         ), sites
 
 
-@pytest.mark.parametrize("width", range(2, 17))
-def test_gray_gather_is_the_bond_product(width):
-    # Row k ^ (k >> 1) of the spin table holds the bond signs of row k, so
-    # one product with J and a gather give the bond energies bit for bit.
-    rng = np.random.default_rng(width)
-    low = chain._low_spins(width)
-    k = np.arange(1 << width)
-    scales = np.array([1e3, -1e3, 1e-8, -1e-8, 1e-300, -1e-300])
-    for _ in range(5):
-        j = rng.choice(scales, width - 1) * rng.uniform(0.5, 1.0, width - 1)
-        got = (low[:, :-1] @ j)[k ^ (k >> 1)]
-        assert np.array_equal(got, (low[:, :-1] * low[:, 1:]) @ j)
-    # The oracle's own weights: one block when the chain is the table's width.
-    params = random_params(rng, width, -1e3, 1e3, -1e3, 1e3)
-    j_arr, h_arr = np.array(params.couplings), np.array(params.fields)
-    energy = -(low[:, :-1] * low[:, 1:]) @ j_arr - low @ h_arr
-    _, (table,), _, (c,), shift = chain._factors(params)
-    assert np.array_equal(c * table, np.exp(-shift - energy))
+@pytest.mark.parametrize("n", range(1, 18))
+def test_factors_are_the_weights(n):
+    # Every weight c[h] T[h & 1][b, a], at configuration a + 2^A b + 2^L h,
+    # is exp(-E - shift) for the energy E of the full 2^N spin table. The
+    # factors group the 2N - 1 terms of E otherwise (pieces, then bonds
+    # across them), so the exponents differ by at most the summation error
+    # bound 2N 2^-52 sum(|J| + |h|) (Higham 2002, §4.2); exp and the product
+    # add a few ulps. Only normal reference weights are compared.
+    rng = np.random.default_rng(n)
+    for params in (random_params(rng, n), random_params(rng, n, -1e3, 1e3, -1e3, 1e3)):
+        _, tables, c, shift = chain._factors(params)
+        weights = (c[:, None, None] * tables[np.arange(len(c)) % len(tables)]).ravel()
+        blocks = list(_ref_energy_blocks(params))
+        energy = np.concatenate([e for _, e in blocks])
+        scale = float(np.abs(params.couplings).sum() + np.abs(params.fields).sum())
+        gap = 2 * n * 2.0**-52 * scale
+        for k in {0, len(energy) - 1, *rng.integers(0, len(energy), 5).tolist()}:
+            block, row = divmod(k, 1 << _BLOCK_BITS)
+            spins = blocks[block][0][row]
+            assert abs(hamiltonian(params, SpinConfig(spins)) - energy[k]) <= gap, k
+        ref = np.exp(-energy - shift)
+        normal = ref >= np.finfo(np.float64).tiny
+        assert weights.max() == 1.0 and normal.any()
+        err = np.abs(weights[normal] - ref[normal])
+        assert np.all(err <= ref[normal] * (np.expm1(gap) + 4 * 2.0**-52))
 
 
 def test_enumeration_peak_memory_below_one_bond_table():
-    # The 2^16 x 15 float64 bond-product table alone is 7.5 MiB; the bound
-    # holds from one table and one block (16 sites) up to the cap.
-    chain._low_spins(16)
+    # The 2^16 x 15 float64 bond-product table alone is 7.5 MiB, and the
+    # oracle that built its energies on a cached 2^16-row spin table peaked
+    # at 4.75 MiB at the cap; the bound holds from one table and one h (16
+    # sites) up to the cap, with nothing cached beforehand.
     for n in (16, chain.ENUMERATION_CAP):
         params = random_params(np.random.default_rng(16), n)
         tracemalloc.start()
@@ -244,7 +257,7 @@ def test_enumeration_peak_memory_below_one_bond_table():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < (1 << 16) * 15 * 8, (n, peak)
+        assert peak <= 4.75 * (1 << 20), (n, peak)
 
 
 @pytest.mark.parametrize("seed", [24, 2424])

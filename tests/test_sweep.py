@@ -693,3 +693,51 @@ def test_sweep_arrays_are_read_only():
         assert values.dtype == np.float64 and len(values) == 6
         with pytest.raises(ValueError):
             values[0] = 0.0
+
+
+def _gauged(params, rng):
+    """(eps, the instance with J_x -> eps_x eps_{x+1} J_x and h_x -> eps_x h_x)
+    for a random eps in {-1, 1}^N: the spins sigma_x -> eps_x sigma_x."""
+    eps = rng.choice([-1.0, 1.0], params.n_sites)
+    return eps, ChainParams(eps[:-1] * eps[1:] * params.couplings, eps * params.fields)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [13, SCAN_MIN_SITES - 1, SCAN_MIN_SITES, 2 * SCAN_BLOCK - 1, 2 * SCAN_BLOCK + 1],
+)
+def test_gauge_flip_is_exact(n):
+    # sigma_x -> eps_x sigma_x maps one instance's Gibbs measure onto the
+    # other's, and the solver must keep that exact: log Z, eps_x <sigma_x>
+    # and eps_i eps_j cov(i, j) are the same floats, on both sides of the
+    # scan's size threshold and of its block seams.
+    rng = np.random.default_rng(n)
+    params = random_params(rng, n)
+    eps, gauged = _gauged(params, rng)
+    assert log_partition(gauged) == log_partition(params)
+    assert np.array_equal(eps * gauged.sweep.means, params.sweep.means)
+    seam = min(SCAN_BLOCK, n - 1)
+    pairs = {(0, n - 1), (0, 1), (n - 2, n - 1), (seam - 1, seam), (1, n - 2)}
+    pairs |= {tuple(sorted(rng.choice(n, 2, replace=False).tolist())) for _ in range(5)}
+    for i, j in sorted(pairs):
+        assert eps[i] * eps[j] * covariance(gauged, i, j) == covariance(params, i, j)
+
+
+def test_gauge_flip_is_exact_on_all_rows():
+    # All rows of a 300-site chain, in several row blocks: the same logs of
+    # |cov|, and signs flipped exactly where eps_i eps_j = -1.
+    n = 300
+    rng = np.random.default_rng(n)
+    params = random_params(rng, n)
+    eps, gauged = _gauged(params, rng)
+    rows = _row_sums([params], 0, n - 1, n - 1)
+    rows_g = _row_sums([gauged], 0, n - 1, n - 1)
+    blocks = list(zip(rows, rows_g))
+    assert len(blocks) > 2
+    for (window, (logs,), negatives, _, _), block_g in blocks:
+        window_g, (logs_g,), negatives_g, _, _ = block_g
+        assert np.array_equal(window, window_g)
+        inside = window < n - 1
+        flip = (eps[window[:, :1]] * eps[np.minimum(window + 1, n - 1)] < 0)[inside]
+        assert logs_g[inside].tobytes() == logs[inside].tobytes()
+        assert np.array_equal(negatives_g[inside] ^ flip, negatives[inside])

@@ -30,20 +30,28 @@ array expression over the sums and the sweep's end fields of a block of
 pairs.
 
 Reports are evaluated as columns too (_report_columns): for a block of
-pairs, the exact covariances and the bounds come off their logs by math.exp
-per pair, so they are the floats a single covariance or bound call gives,
-and the slacks, violation flags and oracle check are array expressions.
-sweep reads the columns directly; compare and compare_row build their
-BoundReports from them.
+pairs, one dict of columns keyed by the wire labels, i, j, exact, each
+applicable bound, its slack_<bound> and violation. The exact covariances and
+the bounds come off their logs by math.exp per pair, so they are the floats a
+single covariance or bound call gives; the slacks and violation flags are
+array expressions. sweep formats the columns as they are; compare and
+compare_row build their BoundReports from them. Only lemma3 can pass the float
+range, as its partition ratio grows like exp(4 sum |h-|): its log is set to
+inf above log(sys.float_info.max), the point where math.exp starts to raise,
+so the bound reads inf there.
+
+Below the enumeration cap every exact covariance is checked against the
+oracle (_check_oracle, which the exact subcommand runs on log Z and the
+means too); a disagreement is raised as a bug, not reported.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import namedtuple
+import sys
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -67,6 +75,8 @@ REPORT_COLUMNS = ("i", "j", "exact", *BOUND_KEYS, *(f"slack_{k}" for k in BOUND_
 
 _ORACLE_CHECK_TOL = 1e-9
 _LOG4 = math.log(4.0)
+# the largest log whose math.exp is finite
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 def _require_ferromagnetic(params: ChainParams) -> None:
@@ -94,7 +104,8 @@ def _bound_blocks(
     bound columns: the log edge factor and log tanh J of each edge, h and
     |h| of each interior site. The log bounds are keyed by wire label in the
     order lemma3 (only with ``envelope``), thm1, zero_field, thm2, each where
-    its preconditions hold. thm1 is the edge product times
+    its preconditions hold; lemma3 is inf where it passes _LOG_MAX, so every
+    bound comes off its log by math.exp. thm1 is the edge product times
     4 exp(-2|S|) / (1 + exp(-2 T))^2 and thm2 the edge product over
     cosh^2(S), S and T the signed and absolute sums of the window fields:
     the interior fields and the two effective end fields.
@@ -117,7 +128,8 @@ def _bound_blocks(
         log_bounds = {}
         if envelope:
             # the absolute instance's covariance; the instance's own if the same
-            log_bounds["lemma3"] = logs[-1] + 2.0 * log_ratio
+            lemma3 = logs[-1] + 2.0 * log_ratio
+            log_bounds["lemma3"] = np.where(lemma3 > _LOG_MAX, math.inf, lemma3)
         if ferromagnetic:
             (edge, log_tanh), (field_sum, abs_sum) = edge_sums, site_sums
             a, b = _end_fields(_thm1_sweep(params, proof_route), i, window)
@@ -131,16 +143,6 @@ def _bound_blocks(
         yield window, logs[0], negatives, log_bounds
 
 
-def _exp(log_bound: float) -> float:
-    """A bound off its log by math.exp, as transfer._from_log reads the
-    exact covariance, so a bound equal to it in logs equals it here too; inf
-    where lemma3's partition ratio passes the float range."""
-    try:
-        return math.exp(log_bound)
-    except OverflowError:
-        return math.inf
-
-
 def _bound(
     params: ChainParams, i: int, j: int, key: str, proof_route: bool = False
 ) -> float:
@@ -148,7 +150,7 @@ def _bound(
     ((_, _, _, log_bounds),) = _bound_blocks(
         params, i, j, 1, proof_route, envelope=key == "lemma3"
     )
-    return _exp(log_bounds[key].item(-1))
+    return math.exp(log_bounds[key].item(-1))
 
 
 def _thm1_sweep(params: ChainParams, proof_route: bool) -> ChainSweep:
@@ -303,37 +305,50 @@ def compare_row(
     return reports
 
 
-ReportColumns = namedtuple("ReportColumns", "i j exact bounds slacks violated")
-
-
-def _reports(blocks: Iterator[ReportColumns]) -> Iterator[list[BoundReport]]:
+def _reports(blocks: Iterator[dict[str, list]]) -> Iterator[list[BoundReport]]:
     """The pairs of _report_columns' blocks as BoundReports, a list per left
     site."""
     for block in blocks:
-        bounds = [dict(zip(block.bounds, b)) for b in zip(*block.bounds.values())]
-        slacks = [dict(zip(block.slacks, s)) for s in zip(*block.slacks.values())]
-        reports = map(BoundReport, block.i, block.j, block.exact, bounds, slacks)
+        keys = [*filter(BOUND_KEYS.__contains__, block)]
+        bounds = [dict(zip(keys, b)) for b in zip(*map(block.get, keys))]
+        slacks = [dict(zip(keys, s)) for s in zip(*(block[f"slack_{k}"] for k in keys))]
+        reports = map(BoundReport, block["i"], block["j"], block["exact"], bounds, slacks)
         for _, row in itertools.groupby(reports, lambda report: report.i):
             yield list(row)
+
+
+def _check_oracle(quantity: str, solver: Any, oracle: Any, at: Sequence[Any]) -> None:
+    """Raise OracleMismatchError at the first entry where the solver's value
+    and the enumeration oracle's differ by more than _ORACLE_CHECK_TOL
+    relative to max(1, |solver value|), or either is nan; ``at`` labels each
+    entry in the message."""
+    solver, oracle = np.asarray(solver, dtype=float), np.asarray(oracle, dtype=float)
+    scale = np.maximum(1.0, np.abs(solver))
+    bad = ~(np.abs(solver - oracle) <= _ORACLE_CHECK_TOL * scale)
+    if bad.any():
+        k = int(bad.argmax())
+        raise OracleMismatchError(
+            f"solver {quantity} {solver.item(k)!r} vs enumeration {oracle.item(k)!r} "
+            f"at {at[k]}"
+        )
 
 
 def _report_columns(
     params: ChainParams, i: int, stop: int, rows: int, proof_route: bool,
     first: int = 0,
-) -> Iterator[ReportColumns]:
+) -> Iterator[dict[str, list]]:
     """The reports of the pairs (r, j), j = max(first, r + 1) .. stop, for the
-    left sites r = i .. i + rows - 1, as columns of Python values in row
-    order, a block of rows at a time off one _bound_blocks pass.
+    left sites r = i .. i + rows - 1, in row order, a block of rows at a time
+    off one _bound_blocks pass.
 
-    A block holds the sites i and j, the exact covariances, each applicable
-    bound and its slack as dicts keyed by wire label in _bound_blocks' order,
-    and ``violated``, 1 where a slack is below -DOMINANCE_TOL, else 0. The
-    exact covariance comes off its log through _from_log and each bound
-    through math.exp, both per pair, so they are the floats of a single
-    covariance or bound call; a block in which a bound overflows takes its
-    bounds through _exp, which reads inf there. Slacks and flags are array
-    expressions. Below the enumeration cap every pair is checked against the
-    oracle's covariance matrix, and the first mismatch in row order raises.
+    A block is one dict of lists of Python values keyed by the wire labels:
+    i, j, exact, each applicable bound in _bound_blocks' order, then each
+    bound's slack_<bound> in the same order, and violation, 1 where a slack
+    is below -DOMINANCE_TOL, else 0. The exact covariance comes off its log
+    through _from_log and each bound through math.exp, both per pair, so
+    they are the floats of a single covariance or bound call. Slacks and
+    flags are array expressions. Below the enumeration cap every pair is
+    checked against the oracle's covariance matrix (_check_oracle).
     """
     oracle = params.enumeration.cov if params.n_sites <= ENUMERATION_CAP else None
     blocks = _bound_blocks(params, i, stop, rows, proof_route)
@@ -342,25 +357,16 @@ def _report_columns(
         r = np.broadcast_to(i + window[:, :1], window.shape)[pairs]
         j = i + 1 + window[pairs]
         exact = list(map(_from_log, logs[pairs].tolist(), negatives[pairs].tolist()))
-        cov = np.array(exact)
+        block = {"i": r.tolist(), "j": j.tolist(), "exact": exact}
         if oracle is not None:
-            check = oracle[r, j]
-            bad = ~np.isfinite(check) | (np.abs(check - cov) > _ORACLE_CHECK_TOL)
-            if bad.any():
-                k = int(bad.argmax())
-                raise OracleMismatchError(
-                    f"solver covariance {exact[k]!r} vs enumeration {check.item(k)!r} "
-                    f"at ({r.item(k)}, {j.item(k)})"
-                )
-        logs_by_key = {key: b[pairs].tolist() for key, b in log_bounds.items()}
-        try:
-            bounds = {key: list(map(math.exp, b)) for key, b in logs_by_key.items()}
-        except OverflowError:  # lemma3's partition ratio past the float range
-            bounds = {key: list(map(_exp, b)) for key, b in logs_by_key.items()}
+            _check_oracle("covariance", exact, oracle[r, j], [*zip(block["i"], block["j"])])
+        for key, log_bound in log_bounds.items():
+            block[key] = list(map(math.exp, log_bound[pairs].tolist()))
+        cov = np.array(exact)
         # lemma3 bounds |cov|, the others cov
         magnitudes = {"lemma3": np.abs(cov)}
-        slacks = {key: np.array(b) - magnitudes.get(key, cov) for key, b in bounds.items()}
-        violated = np.any([slack < -DOMINANCE_TOL for slack in slacks.values()], axis=0)
-        slacks = {key: slack.tolist() for key, slack in slacks.items()}
-        violated = violated.astype(int).tolist()
-        yield ReportColumns(r.tolist(), j.tolist(), exact, bounds, slacks, violated)
+        slacks = [np.array(block[key]) - magnitudes.get(key, cov) for key in log_bounds]
+        block.update((f"slack_{key}", s.tolist()) for key, s in zip(log_bounds, slacks))
+        violated = np.any([slack < -DOMINANCE_TOL for slack in slacks], axis=0)
+        block["violation"] = violated.astype(int).tolist()
+        yield block

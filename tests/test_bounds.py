@@ -387,7 +387,7 @@ class TestCompareRow:
         p = ChainParams((1.0, 0.0, 1000.0), (0.0, 0.0, 1000.0, -1000.0))
         n = p.n_edges
         blocks = list(_report_columns(p, 0, n, n, False))
-        assert len(blocks) == 1 and math.inf in blocks[0].bounds["lemma3"]
+        assert len(blocks) == 1 and math.inf in blocks[0]["lemma3"]
         for report in itertools.chain.from_iterable(_reports(iter(blocks))):
             i, j = report.i, report.j
             assert report.bounds == {

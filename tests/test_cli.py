@@ -9,6 +9,7 @@ import types
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import isingchain
@@ -28,12 +29,14 @@ from isingchain import (
     covariance,
     generate_instance,
     instance_seeds,
+    log_partition,
     site_mean,
 )
 from isingchain.bounds import DOMINANCE_TOL, REPORT_COLUMNS, format_cell
 from isingchain.chain import _enumerate
 from isingchain.cli import build_parser, main
 from isingchain.currents import McEstimate
+from isingchain.transfer import SCAN_MIN_SITES
 
 
 def run(capsys, *argv):
@@ -191,6 +194,33 @@ class TestExact:
         code, out, err = run(capsys, "exact", "--instance", ferro)
         assert code == 1 and out == "" and "internal error" in err
 
+    @pytest.mark.parametrize("quantity", ["log partition", "mean", "covariance"])
+    def test_corrupt_oracle_exits_1(self, capsys, ferro, monkeypatch, quantity):
+        # one oracle quantity shifted at a time: exact must not print a
+        # cross-check that disagrees with the solver
+        params = ChainParams.from_json(Path(ferro).read_text())
+        oracle = _enumerate(params)
+        means, cov = oracle.means.copy(), oracle.cov.copy()
+        means[1] += 0.5
+        cov[0, 2] = cov[2, 0] = cov[0, 2] + 0.1
+        solver, corrupt, shifted, at = {
+            "log partition": (
+                log_partition(params), oracle._replace(log_z=oracle.log_z + 1.0),
+                oracle.log_z + 1.0, "every site",
+            ),
+            "mean": (site_mean(params, 1), oracle._replace(means=means),
+                     means[1].item(), "site 1"),
+            "covariance": (covariance(params, 0, 2), oracle._replace(cov=cov),
+                           cov[0, 2].item(), "(0, 2)"),
+        }[quantity]
+        monkeypatch.setattr(ChainParams, "enumeration", property(lambda _: corrupt))
+        code, out, err = run(capsys, "exact", "--instance", ferro, "--i", "0", "--j", "2")
+        assert code == 1 and out == ""
+        assert err == (
+            f"internal error: solver {quantity} {solver!r} vs enumeration "
+            f"{shifted!r} at {at}\n"
+        )
+
     def test_spec_draws_and_echoes_seed(self, capsys, tmp_path):
         spec = write_json(tmp_path, "spec.json", {"n_sites": 4})
         code, out, err = run(capsys, "exact", "--spec", spec)
@@ -303,6 +333,33 @@ class TestBounds:
             "--proof-route",
         )
         assert code == 0
+
+    @pytest.mark.parametrize("n", [13, SCAN_MIN_SITES + 1])
+    def test_gauged_instance_prints_same_abs_exact_and_lemma3(self, capsys, tmp_path, n):
+        # J_x -> eps_x eps_(x+1) J_x, h_x -> eps_x h_x maps sigma_x to
+        # eps_x sigma_x: |cov|, the absolute instance and Z are unchanged.
+        # Weak fields keep lemma3 finite at 4097 sites.
+        rng = np.random.default_rng(n)
+        couplings, fields = rng.uniform(-3.0, 3.0, n - 1), rng.uniform(-0.01, 0.01, n)
+        eps = rng.choice([-1.0, 1.0], n)
+        paths = [
+            write_json(tmp_path, f"{name}.json", {"J": J.tolist(), "h": h.tolist()})
+            for name, J, h in (
+                ("plain", couplings, fields),
+                ("gauged", eps[:-1] * eps[1:] * couplings, eps * fields),
+            )
+        ]
+        for i, j in ((0, n - 1), (n // 2, n // 2 + 3)):
+            cells = []
+            for path in paths:
+                code, out, _ = run(capsys, "bounds", "--instance", path,
+                                   "--i", str(i), "--j", str(j))
+                assert code == 0
+                header, (values,) = csv_rows(out)
+                row = dict(zip(header, values))
+                cells.append((row["exact"].lstrip("-"), row["lemma3"]))
+            assert cells[0] == cells[1]
+            assert float(cells[0][1]) < math.inf
 
     def test_requires_pair(self, capsys, ferro):
         assert run(capsys, "bounds", "--instance", ferro)[0] == 2

@@ -36,6 +36,8 @@ import pytest
 
 from isingchain import (
     ChainParams,
+    bound_abs_envelope,
+    compare,
     covariance,
     log_partition,
     pair_expectation,
@@ -741,3 +743,74 @@ def test_gauge_flip_is_exact_on_all_rows():
         flip = (eps[window[:, :1]] * eps[np.minimum(window + 1, n - 1)] < 0)[inside]
         assert logs_g[inside].tobytes() == logs[inside].tobytes()
         assert np.array_equal(negatives_g[inside] ^ flip, negatives[inside])
+
+
+SYMMETRY_SIZES = [
+    13, SCAN_MIN_SITES - 1, SCAN_MIN_SITES + 1, 2 * SCAN_BLOCK - 1, 2 * SCAN_BLOCK + 1
+]
+
+
+def _symmetry_pairs(n, rng):
+    """The end pairs, the pair across the first scan block seam, and five
+    random pairs."""
+    seam = min(SCAN_BLOCK, n - 1)
+    pairs = {(0, n - 1), (0, 1), (n - 2, n - 1), (seam - 1, seam), (1, n - 2)}
+    pairs |= {tuple(sorted(rng.choice(n, 2, replace=False).tolist())) for _ in range(5)}
+    return sorted(pairs)
+
+
+@pytest.mark.parametrize("n", SYMMETRY_SIZES)
+def test_gauge_flip_keeps_lemma3_exact(n):
+    # The gauge leaves the absolute instance and Z unchanged, so lemma3 is
+    # the same float, read alone and in a report. Past a few hundred sites
+    # fields of |h| ~ 1 drive the partition ratio past the float range and
+    # lemma3 to inf, so a weak-field instance keeps it finite there.
+    rng = np.random.default_rng(n)
+    for h in (2.0, 0.01):
+        params = random_params(rng, n, h_low=-h, h_high=h)
+        _, gauged = _gauged(params, rng)
+        for i, j in _symmetry_pairs(n, rng):
+            lemma3 = bound_abs_envelope(params, i, j)
+            assert bound_abs_envelope(gauged, i, j) == lemma3
+            assert compare(gauged, i, j).bounds["lemma3"] == lemma3
+            assert compare(params, i, j).bounds["lemma3"] == lemma3
+
+
+@pytest.mark.parametrize("n", SYMMETRY_SIZES)
+def test_global_field_flip_is_exact(n):
+    # h -> -h maps sigma to -sigma: log Z and every covariance are even in h
+    # and the means odd, and the solver keeps that exact.
+    rng = np.random.default_rng(n)
+    params = random_params(rng, n)
+    flipped = ChainParams(params.couplings, -params.fields)
+    assert log_partition(flipped) == log_partition(params)
+    assert np.array_equal(-flipped.sweep.means, params.sweep.means)
+    for i, j in _symmetry_pairs(n, rng):
+        assert log_abs_covariance(flipped, i, j) == log_abs_covariance(params, i, j)
+
+
+@pytest.mark.parametrize("n", SYMMETRY_SIZES)
+def test_reflection_within_rounding(n):
+    """Site x of the reflected chain is site n - 1 - x.
+
+    Its forward pass is the backward pass read back, so every site field and
+    mean is the same float, and so is each covariance term (the adjacent
+    term reads a + b and |a - b|); only the order of the running sums is
+    reversed. Each order is within gamma_m sum |x_k| of the exact sum of the
+    m terms (assert_covariance_within_gate), so the two logs differ by at
+    most 2 gamma_m sum |x_k|. log Z comes off the other pass; it is gated as
+    the two kernels are, at 16 u N param_scale.
+    """
+    rng = np.random.default_rng(n)
+    params = random_params(rng, n)
+    mirrored = params.reflected()
+    steps = 16.0 * UNIT_ROUNDOFF * n * param_scale(params)
+    assert abs(log_partition(mirrored) - log_partition(params)) <= steps
+    assert np.array_equal(mirrored.sweep.means[::-1], params.sweep.means)
+    for i, j in _symmetry_pairs(n, rng):
+        log_abs, negative = log_abs_covariance(params, i, j)
+        mirror_log, mirror_negative = log_abs_covariance(mirrored, n - 1 - j, n - 1 - i)
+        terms = solver_log_terms(params, i, j)
+        assert mirror_negative == negative
+        bound = 2.0 * gamma(len(terms)) * math.fsum(map(abs, terms))
+        assert abs(mirror_log - log_abs) <= bound

@@ -1,5 +1,6 @@
 """The README's CLI examples reproduce, and its library tour names the public API."""
 
+import json
 import re
 import shlex
 from pathlib import Path
@@ -87,3 +88,44 @@ def test_library_tour_lists_the_public_api():
     names = set(re.findall(r"`([A-Za-z_][\w.]*)`", table))
     # Dotted names are attributes (ChainParams.sweep), not exports.
     assert {n for n in names if "." not in n} == set(isingchain.__all__) - {"__version__"}
+
+
+
+# README's prose on the MC estimator at J = 2, h = 0, `--samples 200000
+# --seed 1`: (sites, exit code, stdout rows, stderr line, the README phrase).
+MC_CLAIMS = [
+    (
+        10,
+        0,
+        [
+            "i,j,mean,std_error,samples,exact,z_score",
+            "0,9,2.0108990729755272,1.4219311126867222,200000,"
+            "0.71912623049973279,0.90846373002909031",
+        ],
+        "",
+        "returns `2.01 ± 1.42` against an exact `0.72` and exits 0",
+    ),
+    (
+        60,
+        5,
+        [],
+        "error: denominator not separated from zero by 4 standard errors",
+        "exits 5 on a 60-site chain",
+    ),
+]
+
+
+@pytest.mark.parametrize("n_sites, code, rows, error, phrase", MC_CLAIMS, ids=["10", "60"])
+def test_mc_claims(tmp_path, capsys, n_sites, code, rows, error, phrase):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"J": [2.0] * (n_sites - 1), "h": [0.0] * n_sites}))
+    argv = ["mc", "--instance", str(path), "--i", "0", "--j", str(n_sites - 1)]
+    assert main(argv + ["--samples", "200000", "--seed", "1"]) == code
+    out, err = capsys.readouterr()
+    assert out.splitlines() == rows
+    assert err.strip() == error
+    assert phrase in " ".join(README.read_text(encoding="utf-8").split())
+    if rows:
+        mean, std_error, _, exact = rows[1].split(",")[2:6]
+        shown = f"`{float(mean):.2f} ± {float(std_error):.2f}`"
+        assert f"{shown} against an exact `{float(exact):.2f}`" in phrase

@@ -9,11 +9,12 @@ Signed parameters keep the same measure; estimators weight each sample by
 
 The public sampler draws Poisson counts, one PCG64 stream per edge split off
 a root seed. The Monte-Carlo estimators read a current only through each
-edge's class: absent, odd, or even and positive (the representatives 0, 1
-and 2 realize every class, see `endpoint_event_counterexamples`). They draw
-that class from one uniform per edge, all from one PCG64 stream per call,
-filled sample by sample, so every estimate is reproducible bit for bit from
-(parameters, seed, sample count) and does not depend on the chunk size.
+edge's class (absent, odd, or even and positive), drawn from one uniform u
+per edge from one PCG64 stream per call, filled sample by sample, and kept
+as two boolean planes: `opened` (u >= P(0)) and `odd` (P(0) <= u < P(0) +
+P(odd)). Every per-sample term is an integer or a half-integer, so every sum
+over samples is an exact count and an estimate is a bit-for-bit function of
+(parameters, seed, sample count), whatever the chunk size.
 
 The exact oracles cost O(N). The lattice boundary equals the ghost boundary
 iff the total ghost mass is even and every lattice edge x carries the parity
@@ -38,10 +39,10 @@ from .errors import CapacityError, InconclusiveEstimateError, PreconditionError
 from .instances import SEED_LIMIT
 from .transfer import covariance
 
-# Samples per estimator chunk, which bounds the buffers on short chains (about
-# 1.4 MiB of uniforms at 6 sites); the estimates do not depend on it. A chunk
-# is also capped at _CHUNK_DRAWS edge draws (a 16 MiB buffer of uniforms), so
-# long chains get shorter chunks.
+# Samples per estimator chunk. A chunk holds one float64 uniform and at most
+# three plane bytes per edge draw (about 1.9 MiB for the paired currents of 6
+# sites), and at most _CHUNK_DRAWS edge draws (16 MiB of uniforms), so long
+# chains get shorter chunks. Every sum is an exact count: no cap moves an estimate.
 _CHUNK = 1 << 13
 _CHUNK_DRAWS = 1 << 21
 
@@ -74,37 +75,36 @@ def poisson_parity(rate: float) -> tuple[float, float, float]:
     return p_zero, p_even, p_odd
 
 
-def _class_chunks(
+def _plane_chunks(
     params: ChainParams, seed: int, samples: int, copies: int
-) -> Iterator[np.ndarray]:
-    """Yield chunks of independent edge classes, shape (width, copies, k).
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield the planes (opened, odd) of each chunk of k independent samples.
 
-    width = n_edges + n_sites, lattice edges first. Each entry is 0 (no
-    arrival), 1 (odd count) or 2 (even positive count), drawn from one
-    uniform u as (u >= P(0)) + (u >= P(0) + P(odd)). The uniforms come from
-    one generator, filled in C order as a (k, copies, width) block into one
-    buffer, so sample s always reads the same uniforms whatever the chunk
-    size. The classes are handed out edge axis first, so the estimators'
-    per-site sums and tests run over long contiguous rows.
+    width = n_edges + n_sites, lattice edges first. The uniforms come from
+    one generator, filled in C order as a (k, copies, width) block, so sample
+    s reads the same uniforms whatever the chunk size. Each sample's row is
+    compared against the copies * width thresholds into `opened`, shape
+    (k, copies, width); `odd` is copied once edge axis first, shape
+    (width, copies, k), so parity, boundary and sign tests run along rows.
     """
     samples = _check_integer(samples, "samples", 1)
     seed = _check_integer(seed, "seed", 0, SEED_LIMIT)
     rates = np.abs(np.concatenate((params.couplings, params.fields)))
     laws = [poisson_parity(r) for r in rates]
-    p_zero = np.array([law[0] for law in laws])
-    p_zero_or_odd = p_zero + np.array([law[2] for law in laws])
+    p_zero = np.array([[law[0] for law in laws]] * copies)
+    p_zero_or_odd = p_zero + np.array([[law[2] for law in laws]] * copies)
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    rows = max(1, min(_CHUNK, _CHUNK_DRAWS // (copies * len(laws)), samples))
-    uniforms = np.empty((rows, copies, len(laws)))
-    classes = np.empty(uniforms.shape, dtype=np.int8)
-    done = 0
-    while done < samples:
+    rows = max(1, min(_CHUNK, _CHUNK_DRAWS // p_zero.size, samples))
+    uniforms = np.empty((rows,) + p_zero.shape)
+    opened = np.empty(uniforms.shape, dtype=bool)
+    odd = np.empty(uniforms.shape, dtype=bool)
+    for done in range(0, samples, rows):
         k = min(rows, samples - done)
         u = gen.random(out=uniforms[:k])
-        np.greater_equal(u, p_zero, out=classes[:k])
-        classes[:k] += u >= p_zero_or_odd
-        done += k
-        yield np.ascontiguousarray(classes[:k].transpose(2, 1, 0))
+        np.greater_equal(u, p_zero, out=opened[:k])
+        np.less(u, p_zero_or_odd, out=odd[:k])
+        odd[:k] &= opened[:k]
+        yield opened[:k], np.ascontiguousarray(odd[:k].transpose(2, 1, 0))
 
 
 def sample_current_batch(
@@ -127,19 +127,18 @@ def sample_current_batch(
     return arrivals[: params.n_edges].T, arrivals[params.n_edges :].T
 
 
-def _boundary_parity(lat: np.ndarray, gho: np.ndarray) -> np.ndarray:
-    """Per-site degree parity for stacked currents (edge axis first)."""
-    degree = gho.copy()
-    degree[:-1] += lat
-    degree[1:] += lat
-    degree &= 1
-    return degree
+def _boundary_parity(lat_odd: np.ndarray, gho_odd: np.ndarray) -> np.ndarray:
+    """Per-site degree parity from edge parities (edge axis first)."""
+    parity = gho_odd.copy()
+    parity[:-1] ^= lat_odd
+    parity[1:] ^= lat_odd
+    return parity
 
 
 def _boundary_is(parity: np.ndarray, sites: Sequence[int]) -> np.ndarray:
     """True where the boundary given by `parity` (site axis first) is `sites`."""
     off = parity.copy()
-    off[list(sites)] ^= 1
+    off[list(sites)] ^= True
     return ~off.any(axis=0)
 
 
@@ -163,47 +162,53 @@ def _negative_mask(params: ChainParams) -> np.ndarray:
     return np.concatenate((params.couplings, params.fields)) < 0.0
 
 
-def _signs(currents: np.ndarray, negative: np.ndarray) -> np.ndarray:
-    """(-1) to the arrivals on negative edges (edge axis first)."""
-    return 1.0 - 2.0 * (currents[negative].sum(axis=0) & 1)
+def _signs(odd: np.ndarray, negative: np.ndarray) -> np.ndarray:
+    """(-1) to the arrivals on negative edges, as int8, from the `odd` planes."""
+    return 1 - 2 * np.bitwise_xor.reduce(odd[negative], axis=0).view(np.int8)
 
 
 def _moment_terms(
-    classes: np.ndarray, n_edges: int, sites: Sequence[int], negative: np.ndarray
+    odd: np.ndarray, n_edges: int, sites: Sequence[int], negative: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample terms (y, x) of `mc_moment` from edge classes (edge axis first).
+    """Per-sample terms (y, x) of `mc_moment` from `odd` planes (edge axis first).
 
     y is the signed indicator that the boundary equals `sites`, x the signed
     indicator that it is empty.
     """
-    parity = _boundary_parity(classes[:n_edges], classes[n_edges:])
-    sign = _signs(classes, negative)
-    return sign * _boundary_is(parity, sites), sign * ~parity.any(axis=0)
+    parity = _boundary_parity(odd[:n_edges], odd[n_edges:])
+    sign = _signs(odd, negative)
+    y = sign * _boundary_is(parity, sites).view(np.int8)
+    x = sign * (~parity.any(axis=0)).view(np.int8)
+    return y.astype(float), x.astype(float)
 
 
 def _paired_terms(
-    classes: np.ndarray, n_edges: int, i: int, j: int, negative: np.ndarray
+    opened: np.ndarray,
+    odd: np.ndarray,
+    n_edges: int,
+    i: int,
+    j: int,
+    negative: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample terms (w, d) of `mc_switching_covariance` from edge classes.
+    """Per-sample terms (w, d) of `mc_switching_covariance` from the planes.
 
-    `classes` has shape (n_edges + n_sites, 2, ...): the two currents of a
-    pair, edge axis first. The paired-current event at (i, j) holds where
+    `odd` has shape (width, 2, *samples) and `opened` (*samples, 2, width):
+    the two currents of a pair. The paired-current event at (i, j) holds where
     current 1 has empty boundary, current 2 has boundary {i, j}, and i
     cannot reach the ghost in the summed current; w is that event times both
-    signs. d is the mean of the two currents' signed empty-boundary
-    indicators.
+    signs, d the mean of the two currents' signed empty-boundary indicators.
     """
-    parity = _boundary_parity(classes[:n_edges], classes[n_edges:])
-    sign = _signs(classes, negative)
+    parity = _boundary_parity(odd[:n_edges], odd[n_edges:])
+    sign = _signs(odd, negative)
     empty = ~parity.any(axis=0)
     event = empty[0] & _boundary_is(parity[:, 1], (i, j))
     # The connectivity test runs only where both boundaries already match.
     hits = np.nonzero(event)
-    open_edges = classes[(slice(None), slice(None)) + hits].any(axis=1)
-    event[hits] = _ghost_disconnected(
-        open_edges[:n_edges].T, open_edges[n_edges:].T, i
-    )
-    return sign.prod(axis=0) * event, 0.5 * (sign * empty).sum(axis=0)
+    lat_open, gho_open = np.split(opened[hits].any(axis=1), [n_edges], axis=-1)
+    event[hits] = _ghost_disconnected(lat_open, gho_open, i)
+    w = sign[0] * sign[1] * event.view(np.int8)
+    signed_empty = sign * empty.view(np.int8)
+    return w.astype(float), 0.5 * (signed_empty[0] + signed_empty[1])
 
 
 def _sample_stats(
@@ -221,17 +226,15 @@ def _sample_stats(
         n += a.shape[0]
         s_a += float(a.sum())
         s_b += float(b.sum())
-        s_aa += float((a * a).sum())
-        s_bb += float((b * b).sum())
-        s_ab += float((a * b).sum())
+        s_aa += float(a @ a)
+        s_bb += float(b @ b)
+        s_ab += float(a @ b)
     a_bar = s_a / n
     b_bar = s_b / n
-    if n > 1:
-        var_a = max(s_aa - n * a_bar * a_bar, 0.0) / (n - 1)
-        var_b = max(s_bb - n * b_bar * b_bar, 0.0) / (n - 1)
-        cov_ab = (s_ab - n * a_bar * b_bar) / (n - 1)
-    else:
-        var_a = var_b = cov_ab = 0.0
+    # With one sample each difference below is exactly 0.0: no spread.
+    var_a = max(s_aa - n * a_bar * a_bar, 0.0) / max(n - 1, 1)
+    var_b = max(s_bb - n * b_bar * b_bar, 0.0) / max(n - 1, 1)
+    cov_ab = (s_ab - n * a_bar * b_bar) / max(n - 1, 1)
     if abs(b_bar) <= 4.0 * math.sqrt(var_b / n):
         raise InconclusiveEstimateError(
             "denominator not separated from zero by 4 standard errors"
@@ -252,8 +255,8 @@ def mc_moment(
     cols = sorted({_check_site(params, x) for x in sites})
     negative = _negative_mask(params)
     n, y_bar, x_bar, var_y, var_x, cov_yx = _sample_stats(
-        _moment_terms(chunk[:, 0], params.n_edges, cols, negative)
-        for chunk in _class_chunks(params, seed, samples, copies=1)
+        _moment_terms(odd[:, 0], params.n_edges, cols, negative)
+        for _, odd in _plane_chunks(params, seed, samples, copies=1)
     )
     ratio = y_bar / x_bar
     var_ratio = (var_y - 2.0 * ratio * cov_yx + ratio * ratio * var_x) / (
@@ -275,8 +278,8 @@ def mc_switching_covariance(
     i, j = _check_pair(params, i, j, "covariance")
     negative = _negative_mask(params)
     n, w_bar, d_bar, var_w, var_d, cov_wd = _sample_stats(
-        _paired_terms(chunk, params.n_edges, i, j, negative)
-        for chunk in _class_chunks(params, seed, samples, copies=2)
+        _paired_terms(opened, odd, params.n_edges, i, j, negative)
+        for opened, odd in _plane_chunks(params, seed, samples, copies=2)
     )
     ratio = w_bar / (d_bar * d_bar)
     var_ratio = (
@@ -391,10 +394,10 @@ def boundary_split_counterexamples(n_sites: int, max_entry: int = 3) -> int:
     lat, gho = digits[:n_edges], digits[n_edges:]
     # The two boundaries agree iff the summed current has none: every site's
     # degree is even, which makes the ghost's degree, the total mass, even.
-    lhs = ~_boundary_parity(lat, gho).any(axis=0)
+    lat_par = lat & 1
+    lhs = ~_boundary_parity(lat_par, gho & 1).any(axis=0)
     prefix = np.cumsum(gho, axis=0)[:n_edges]
     suffix = gho.sum(axis=0) - prefix
-    lat_par = lat & 1
     rhs = ((lat_par == prefix & 1) & (lat_par == suffix & 1)).all(axis=0)
     return int((lhs != rhs).sum())
 
@@ -407,10 +410,10 @@ def endpoint_event_counterexamples(n_sites: int, max_entry: int = 3) -> int:
     every lattice edge, n2 is odd on every lattice edge, and both ghost parts
     vanish. Both sides depend on a current only through per-edge (parity,
     support), and entries <= max_entry realize exactly the three classes
-    (even, absent), (even, present), (odd, present); representatives 0, 2, 1
-    therefore cover every current with entries <= max_entry. They are also
-    the class codes the Monte-Carlo estimators draw, and pairs are fed
-    through the estimator's own event code.
+    (even, absent), (odd, present), (even, present); class codes 0, 1, 2
+    therefore cover every current with entries <= max_entry. Each class is
+    fed through the estimator's own event code as the planes the
+    Monte-Carlo estimators draw: odd = (code == 1), opened = (code > 0).
     Returns the number of disagreeing pairs.
     """
     n_sites = _check_integer(n_sites, "n_sites", 2)
@@ -418,28 +421,24 @@ def endpoint_event_counterexamples(n_sites: int, max_entry: int = 3) -> int:
     _check_integer(max_entry, "max_entry", 2)
     n_edges = n_sites - 1
     width = n_edges + n_sites
-    reps = np.array([0, 2, 1], dtype=np.int8)
-    values = reps[_mixed_radix_rows(3, width)]
-    lat = values[:, :n_edges]
-    gho = values[:, n_edges:]
-    parity = _boundary_parity(lat.T, gho.T)
+    classes = _mixed_radix_rows(3, width)
+    odd, opened = classes == 1, classes > 0
+    parity = _boundary_parity(odd[:, :n_edges].T, odd[:, n_edges:].T)
     empty_boundary = ~parity.any(axis=0)
     pair_boundary = _boundary_is(parity, (0, n_sites - 1))
-    all_even = (lat & 1 == 0).all(axis=1) & (gho == 0).all(axis=1)
-    all_odd = (lat & 1 == 1).all(axis=1) & (gho == 0).all(axis=1)
-    bad = int((all_even & ~empty_boundary).sum())
-    bad += int((all_odd & ~pair_boundary).sum())
-    first, rhs1 = values[empty_boundary].T, all_even[empty_boundary]
-    second, rhs2 = values[pair_boundary].T, all_odd[pair_boundary]
+    no_ghost = ~opened[:, n_edges:].any(axis=1)
+    all_even = ~odd[:, :n_edges].any(axis=1) & no_ghost
+    all_odd = odd[:, :n_edges].all(axis=1) & no_ghost
+    bad = int((all_even & ~empty_boundary).sum() + (all_odd & ~pair_boundary).sum())
+    first, second = np.nonzero(empty_boundary)[0], np.nonzero(pair_boundary)[0]
     no_signs = np.zeros(width, dtype=bool)
-    block = max(1, (1 << 20) // max(1, second.shape[1]))
-    for start in range(0, first.shape[1], block):
-        sl = slice(start, start + block)
-        pairs = np.empty((width, 2, first[:, sl].shape[1], second.shape[1]), np.int8)
-        pairs[:, 0] = first[:, sl, None]
-        pairs[:, 1] = second[:, None, :]
-        event, _ = _paired_terms(pairs, n_edges, 0, n_sites - 1, no_signs)
-        rhs = rhs1[sl][:, None] & rhs2[None, :]
+    block = max(1, (1 << 19) // max(1, len(second)))
+    for start in range(0, len(first), block):
+        rows = first[start : start + block]
+        pairs = np.stack(np.broadcast_arrays(rows[:, None], second), axis=-1)
+        planes = opened[pairs], odd[pairs].transpose(3, 2, 0, 1)
+        event, _ = _paired_terms(*planes, n_edges, 0, n_sites - 1, no_signs)
+        rhs = all_even[rows][:, None] & all_odd[second]
         bad += int(((event != 0.0) != rhs).sum())
     return bad
 

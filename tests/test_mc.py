@@ -17,12 +17,12 @@ from isingchain import (
 )
 from isingchain import currents
 from isingchain.currents import (
-    _class_chunks,
     _ghost_disconnected,
     _mixed_radix_rows,
     _moment_terms,
     _negative_mask,
     _paired_terms,
+    _plane_chunks,
 )
 
 
@@ -182,11 +182,16 @@ def class_law(params):
 
 
 def class_table(params):
-    """Every class vector (edge axis first) and its probability."""
+    """Every class vector as its planes, and its probability.
+
+    Returns (opened, odd, prob): opened is sample axis first, odd edge axis
+    first, mapped from the class codes as opened = class > 0 and
+    odd = class == 1.
+    """
     width = params.n_edges + params.n_sites
-    rows = _mixed_radix_rows(3, width).astype(np.int8)
+    rows = _mixed_radix_rows(3, width)
     prob = class_law(params)[np.arange(width), rows].prod(axis=1)
-    return np.ascontiguousarray(rows.T), prob
+    return rows > 0, np.ascontiguousarray(rows.T == 1), prob
 
 
 GATE_CHAINS = [
@@ -225,27 +230,30 @@ class TestClassLaw:
 
     @pytest.mark.parametrize("params, i, j", GATE_CHAINS)
     def test_covariance_ratio_is_exact(self, params, i, j):
-        classes, prob = class_table(params)
-        width, m = classes.shape
+        opened, odd, prob = class_table(params)
+        width, m = odd.shape
         negative = _negative_mask(params)
         e_w = e_d = 0.0
         block = max(1, (1 << 19) // m)
         for start in range(0, m, block):
-            first = classes[:, start : start + block]
-            pairs = np.empty((width, 2, first.shape[1], m), dtype=np.int8)
+            first = odd[:, start : start + block]
+            pairs = np.empty((width, 2, first.shape[1], m), dtype=bool)
             pairs[:, 0] = first[:, :, None]
-            pairs[:, 1] = classes[:, None, :]
-            w, d = _paired_terms(pairs, params.n_edges, i, j, negative)
+            pairs[:, 1] = odd[:, None, :]
+            pairs_opened = np.empty((first.shape[1], m, 2, width), dtype=bool)
+            pairs_opened[:, :, 0] = opened[start : start + block, None]
+            pairs_opened[:, :, 1] = opened[None]
+            w, d = _paired_terms(pairs_opened, pairs, params.n_edges, i, j, negative)
             e_w += prob[start : start + block] @ w @ prob
             e_d += prob[start : start + block] @ d @ prob
         assert e_w / e_d**2 == pytest.approx(covariance(params, i, j), rel=1e-12)
 
     @pytest.mark.parametrize("params, i, j", GATE_CHAINS)
     def test_moment_ratio_is_exact(self, params, i, j):
-        classes, prob = class_table(params)
+        _, odd, prob = class_table(params)
         negative = _negative_mask(params)
         for sites in ((i,), (j,), (i, j), (0, i, j)):
-            y, x = _moment_terms(classes, params.n_edges, sorted(set(sites)), negative)
+            y, x = _moment_terms(odd, params.n_edges, sorted(set(sites)), negative)
             assert (prob @ y) / (prob @ x) == pytest.approx(
                 expectation_enum(params, sites), rel=1e-12
             )
@@ -254,7 +262,9 @@ class TestClassLaw:
         params = ChainParams((0.3, -1.5, 0.05), (0.0, 0.7, -2.5, 0.2))
         n = 200_000
         counts = np.zeros((params.n_edges + params.n_sites, 3))
-        for chunk in _class_chunks(params, seed=99, samples=n, copies=2):
+        for opened, odd in _plane_chunks(params, seed=99, samples=n, copies=2):
+            # back to class codes: 0 absent, 1 odd, 2 even and positive
+            chunk = 2 * opened.transpose(2, 1, 0) - odd
             for c in range(3):
                 counts[:, c] += (chunk == c).sum(axis=(1, 2))
         law = class_law(params)
@@ -279,7 +289,7 @@ class TestClassLaw:
     def test_long_chains_get_short_chunks(self, monkeypatch):
         # 129 edge laws: the draw cap, not the sample cap, sets the chunk
         params = ChainParams((0.01,) * 64, (0.0,) * 65)
-        sizes = [c.shape[2] for c in _class_chunks(params, 1, 10_000, copies=2)]
+        sizes = [odd.shape[2] for _, odd in _plane_chunks(params, 1, 10_000, copies=2)]
         assert sum(sizes) == 10_000
         assert max(sizes) < currents._CHUNK
         assert len(sizes) > 1 and max(sizes) * 2 * 129 <= currents._CHUNK_DRAWS

@@ -13,8 +13,8 @@ edge's class (absent, odd, or even and positive), drawn from one uniform u
 per edge from one PCG64 stream per call, filled sample by sample, and kept
 as two boolean planes: `opened` (u >= P(0)) and `odd` (P(0) <= u < P(0) +
 P(odd)). Every per-sample term is an integer or a half-integer, so every sum
-over samples is an exact count and an estimate is a bit-for-bit function of
-(parameters, seed, sample count), whatever the chunk size.
+over samples is exact (a count, or half of one) however it is grouped, and an
+estimate is a bit-for-bit function of (parameters, seed, sample count).
 
 The exact oracles cost O(N). The lattice boundary equals the ghost boundary
 iff the total ghost mass is even and every lattice edge x carries the parity
@@ -39,10 +39,10 @@ from .errors import CapacityError, InconclusiveEstimateError, PreconditionError
 from .instances import SEED_LIMIT
 from .transfer import covariance
 
-# Samples per estimator chunk. A chunk holds one float64 uniform and at most
-# three plane bytes per edge draw (about 1.9 MiB for the paired currents of 6
-# sites), and at most _CHUNK_DRAWS edge draws (16 MiB of uniforms), so long
-# chains get shorter chunks. Every sum is an exact count: no cap moves an estimate.
+# Samples per estimator chunk. A chunk holds one float64 uniform and up to four
+# plane bytes per edge draw (about 2 MiB for 6-site pairs), and at most
+# _CHUNK_DRAWS edge draws (16 MiB of uniforms), which long chains reach. Every
+# sum is an exact count or half of one, so neither cap can move an estimate.
 _CHUNK = 1 << 13
 _CHUNK_DRAWS = 1 << 21
 
@@ -84,8 +84,9 @@ def _plane_chunks(
     one generator, filled in C order as a (k, copies, width) block, so sample
     s reads the same uniforms whatever the chunk size. Each sample's row is
     compared against the copies * width thresholds into `opened`, shape
-    (k, copies, width); `odd` is copied once edge axis first, shape
-    (width, copies, k), so parity, boundary and sign tests run along rows.
+    (k, copies, width), a buffer the next chunk overwrites; `odd` is copied
+    once edge axis first, shape (width, copies, k), so parity, boundary and
+    sign tests run along rows.
     """
     samples = _check_integer(samples, "samples", 1)
     seed = _check_integer(seed, "seed", 0, SEED_LIMIT)

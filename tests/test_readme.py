@@ -115,7 +115,9 @@ MC_CLAIMS = [
 ]
 
 
-@pytest.mark.parametrize("n_sites, code, rows, error, phrase", MC_CLAIMS, ids=["10", "60"])
+@pytest.mark.parametrize(
+    "n_sites, code, rows, error, phrase", MC_CLAIMS, ids=["10", "60"]
+)
 def test_mc_claims(tmp_path, capsys, n_sites, code, rows, error, phrase):
     path = tmp_path / "chain.json"
     path.write_text(json.dumps({"J": [2.0] * (n_sites - 1), "h": [0.0] * n_sites}))

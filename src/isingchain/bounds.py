@@ -79,17 +79,26 @@ _LOG4 = math.log(4.0)
 _LOG_MAX = math.log(sys.float_info.max)
 
 
+def _violated(value: Any, floor: Any = 0.0) -> Any:
+    """The one slack rule: value, a float or an array, lies below floor by
+    more than DOMINANCE_TOL. A bound's slack must not go below 0, and a decay
+    rate not below its bound-implied rate."""
+    return value < floor - DOMINANCE_TOL
+
+
 def _require_ferromagnetic(params: ChainParams) -> None:
     if not params.is_ferromagnetic():
         raise PreconditionError("this bound needs all couplings >= 0")
 
 
-def _end_fields(sweep: ChainSweep, i: int, window: np.ndarray) -> list[np.ndarray]:
-    """The end fields of the pairs of a block of rows of a window from site i:
+def _end_fields(
+    sweep: ChainSweep, i: int, stop: int, window: np.ndarray
+) -> list[np.ndarray]:
+    """The end fields of the pairs of a block of rows of the window [i, stop]:
     each row's left field at its left site, and the right field at each
     right end."""
-    left = sweep.left_fields[i + window[:, :1]]
-    return [left, sweep.right_fields.take(i + 1 + window, mode="clip")]
+    left, right = sweep._window_fields(i, stop)
+    return [left[i + window[:, :1]], right.take(i + 1 + window, mode="clip")]
 
 
 def _bound_blocks(
@@ -113,8 +122,10 @@ def _bound_blocks(
     instances, edges, sites = [params], [], []
     if envelope:
         abs_params = params.absolute()
-        log_ratio = log_partition(abs_params) - log_partition(params)
+        # an instance that is its own absolute instance has ratio 1 exactly
+        log_ratio = 0.0
         if abs_params is not params:
+            log_ratio = log_partition(abs_params) - log_partition(params)
             instances.append(abs_params)
     ferromagnetic = params.is_ferromagnetic()
     if ferromagnetic:
@@ -132,13 +143,13 @@ def _bound_blocks(
             log_bounds["lemma3"] = np.where(lemma3 > _LOG_MAX, math.inf, lemma3)
         if ferromagnetic:
             (edge, log_tanh), (field_sum, abs_sum) = edge_sums, site_sums
-            a, b = _end_fields(_thm1_sweep(params, proof_route), i, window)
+            a, b = _end_fields(_thm1_sweep(params, proof_route), i, stop, window)
             s, t = a + field_sum + b, np.abs(a) + abs_sum + np.abs(b)
             log_field = _LOG4 - 2.0 * np.abs(s) - 2.0 * np.log1p(np.exp(-2.0 * t))
             log_bounds["thm1"] = edge + log_field
             log_bounds["zero_field"] = log_tanh
             if params.has_nonneg_fields():
-                a, b = _end_fields(params.sweep, i, window)
+                a, b = _end_fields(params.sweep, i, stop, window)
                 log_bounds["thm2"] = edge - 2.0 * _log_cosh(a + field_sum + b)
         yield window, logs[0], negatives, log_bounds
 
@@ -255,9 +266,7 @@ class BoundReport:
 
     def violations(self) -> list[str]:
         """The bounds whose slack is below -DOMINANCE_TOL, in wire order."""
-        return [
-            k for k in BOUND_KEYS if k in self.slacks and self.slacks[k] < -DOMINANCE_TOL
-        ]
+        return [k for k in BOUND_KEYS if k in self.slacks and _violated(self.slacks[k])]
 
     def to_dict(self) -> dict[str, float | int | None]:
         out: dict[str, float | int | None] = {"i": self.i, "j": self.j, "exact": self.exact}
@@ -344,7 +353,7 @@ def _report_columns(
     A block is one dict of lists of Python values keyed by the wire labels:
     i, j, exact, each applicable bound in _bound_blocks' order, then each
     bound's slack_<bound> in the same order, and violation, 1 where a slack
-    is below -DOMINANCE_TOL, else 0. The exact covariance comes off its log
+    is violated (_violated), else 0. The exact covariance comes off its log
     through _from_log and each bound through math.exp, both per pair, so
     they are the floats of a single covariance or bound call. Slacks and
     flags are array expressions. Below the enumeration cap every pair is
@@ -367,6 +376,6 @@ def _report_columns(
         magnitudes = {"lemma3": np.abs(cov)}
         slacks = [np.array(block[key]) - magnitudes.get(key, cov) for key in log_bounds]
         block.update((f"slack_{key}", s.tolist()) for key, s in zip(log_bounds, slacks))
-        violated = np.any([slack < -DOMINANCE_TOL for slack in slacks], axis=0)
+        violated = np.any([_violated(slack) for slack in slacks], axis=0)
         block["violation"] = violated.astype(int).tolist()
         yield block

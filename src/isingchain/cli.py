@@ -36,10 +36,10 @@ import numpy as np
 
 from .bounds import (
     BOUND_KEYS,
-    DOMINANCE_TOL,
     REPORT_COLUMNS,
     _check_oracle,
     _report_columns,
+    _violated,
     compare,
     decay_rates,
     format_cell,
@@ -294,7 +294,7 @@ def cmd_decay(args: argparse.Namespace) -> int:
         if rate is None:
             flag = "no_rate"
         else:
-            flag = "ok" if rate >= bound_rate - DOMINANCE_TOL else "violation"
+            flag = "violation" if _violated(rate, bound_rate) else "ok"
         n_violations += flag == "violation"
         rows.append(
             {"distance": d, "rate": rate, "bound_rate": bound_rate, "flag": flag}

@@ -12,7 +12,8 @@ changed parameters are the two end fields. The closed form, for s = +/-1:
 |b_shift| <= |j_edge| always, so the shifts never blow up however long the
 removed tail is. The shifts summed over a whole tail are what the message
 sweep of transfer.py carries into the window's end site, so truncate reads
-them off the instance's cached sweep instead of iterating remove_end_site.
+them off the instance's cached sweep instead of iterating remove_end_site;
+the sweep runs each pass only up to the end site it reads.
 """
 
 from __future__ import annotations
@@ -62,7 +63,9 @@ def truncate(params: ChainParams, i: int, j: int) -> TruncatedModel:
 
     Each end field is the site's field plus half the message gap that the
     instance's cached sweep stores from the outer side: the same quantity as
-    removing the outer sites one at a time with remove_end_site, in O(1).
+    removing the outer sites one at a time with remove_end_site. It runs the
+    sweep's forward pass up to i and its backward pass down to j, where they
+    have not run yet, then copies the window in O(j - i).
     Removals at the two ends never touch the same field, so the result does
     not depend on the order in which the ends are processed.
     """

@@ -6,26 +6,30 @@ renormalized at every site, so the recursion survives |J|, |h| up to ~1e3 and
 chains of 1e6 sites without overflow or total underflow. One forward and one
 backward pass (ChainSweep) store the message into every site as an effective
 field: the field on x once every site left (right) of x is summed out. The
-sweep is built once per ChainParams and cached on it, so log Z, each site mean
-and each effective end field cost O(1) after it.
+sweep is cached per ChainParams, and each pass runs lazily, a block at a
+time, only as far as its readers need. The window [i, j] reads the forward
+pass up to j and the backward pass down to i, about N site steps, not 2N;
+log Z finishes the forward pass, and the site fields and means finish both.
+A block is the same floats whenever it runs, so no result depends on what
+was read before it.
 
 A pass has two kernels, chosen by chain length. Below SCAN_MIN_SITES sites it
-is a scalar loop (_pass). From SCAN_MIN_SITES on it is a numpy prefix scan
-(_scan_pass): the message into site x + 1 is the message into x times the
-2x2 matrix A_x[s, t] = h_x s + J_x s t in the log semiring (log-sum-exp for
-+, + for *). That product is associative, so every prefix comes out of an
-odd/even scan (Blelloch 1990). The scan runs over blocks of SCAN_BLOCK sites
-and carries each block's last prefix into the next, so its working memory is
-O(SCAN_BLOCK). Each partial product is kept with its largest entry
-subtracted plus a log scale, and the scales add in tree order. Per pass, on a
-2-core Xeon, loop and scan took 0.46 / 0.49 ms at 1000 sites, 0.95 / 0.60 ms
-at 2000, 1.94 / 0.86 ms at 4096 and 47 / 16.5 ms at 1e5. Both kernels sum
-their log-scale shifts into log Z with math.fsum.
+is a scalar loop (_pass), which runs as one block. From SCAN_MIN_SITES on it
+is a numpy prefix scan (_scan_pass): the message into site x + 1 is the
+message into x times the 2x2 matrix A_x[s, t] = h_x s + J_x s t in the log
+semiring (log-sum-exp for +, + for *). That product is associative, so every
+prefix comes out of an odd/even scan (Blelloch 1990). The scan runs over
+blocks of SCAN_BLOCK sites and carries each block's last prefix into the next,
+so its working memory is O(SCAN_BLOCK). Each partial product is kept with its
+largest entry subtracted plus a log scale, and the scales add in tree order.
+Per pass on a 2-core Xeon, the scan takes about a quarter of the loop's time
+at 4096 sites and a sixth at 1e5 (README, Cost). Both kernels sum their
+log-scale shifts into log Z with math.fsum.
 
 The site field f_x = left_field(x) + right_field(x) - h_x carries both
 messages, so <sigma_x> = tanh(f_x) and var(sigma_x) = sech^2(f_x). The sweep
-keeps the end fields and the site fields as float64 arrays, and the site
-means as one np.tanh of the site fields.
+keeps the end fields as float64 arrays, and on first use the site fields and
+the site means, one np.tanh of the site fields.
 
 A covariance from a left site i sums per-site log terms (below): the
 adjacent log covariance of every window edge and 2 log cosh f_k of every
@@ -79,8 +83,9 @@ SCAN_MIN_SITES = 4096
 SCAN_BLOCK = 1 << 13
 
 
-def _pass(couplings: np.ndarray, fields: np.ndarray) -> tuple[array, float]:
-    """One left-to-right message pass: (message gaps, log Z).
+def _pass(couplings: np.ndarray, fields: np.ndarray) -> Iterator[np.ndarray]:
+    """One left-to-right message pass as a single block: yields the message
+    gaps of every site, then returns log Z.
 
     Gap x is lp - lm of the renormalized log-message into site x with the
     sites < x summed out (their fields absorbed, h_x not). The pair is shifted
@@ -100,9 +105,10 @@ def _pass(couplings: np.ndarray, fields: np.ndarray) -> tuple[array, float]:
         lp, lm = lp - shift, lm - shift
         shifts.append(shift)
         gaps.append(lp - lm)
+    yield np.frombuffer(gaps)
     h_last = fields[-1]
     shifts.append(log_add_exp(lp + h_last, lm - h_last))
-    return gaps, math.fsum(shifts)
+    return math.fsum(shifts)
 
 
 def _log_add(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
@@ -135,24 +141,20 @@ def _renormalized(out: np.ndarray) -> np.ndarray:
 
 
 def _matrix_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    xa, xb, xc, xd, xs = x
-    ya, yb, yc, yd, ys = y
+    # entry [s, t] adds up x[s, +] + y[+, t] and x[s, -] + y[-, t], all four
+    # entries in one _log_add
     out = np.zeros_like(x)
-    _log_add(xa + ya, xb + yc, out[0])
-    _log_add(xa + yb, xb + yd, out[1])
-    _log_add(xc + ya, xd + yc, out[2])
-    _log_add(xc + yb, xd + yd, out[3])
-    np.add(xs, ys, out=out[4])
+    _log_add(
+        x[0:3:2, None] + y[:2], x[1:4:2, None] + y[2:4], out[:4].reshape(2, 2, -1)
+    )
+    np.add(x[4], y[4], out=out[4])
     return _renormalized(out)
 
 
 def _row_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    xp, xm, xs = x
-    ya, yb, yc, yd, ys = y
-    out = np.zeros((3, len(xs)))
-    _log_add(xp + ya, xm + yc, out[0])
-    _log_add(xp + yb, xm + yd, out[1])
-    np.add(xs, ys, out=out[2])
+    out = np.zeros((3, x.shape[1]))
+    _log_add(x[0] + y[:2], x[1] + y[2:4], out[:2])
+    np.add(x[2], y[4], out=out[2])
     return _renormalized(out)
 
 
@@ -173,10 +175,11 @@ def _prefix_rows(mats: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _scan_pass(couplings: np.ndarray, fields: np.ndarray) -> tuple[array, float]:
-    """_pass as a blocked prefix scan (module docstring): same gaps and log Z
-    up to rounding."""
-    gaps = array("d", [0.0])
+def _scan_pass(couplings: np.ndarray, fields: np.ndarray) -> Iterator[np.ndarray]:
+    """_pass as a blocked prefix scan (module docstring): yields gap 0, then
+    the gaps of each block of SCAN_BLOCK edges, then returns log Z; the same
+    gaps and log Z as _pass up to rounding."""
+    yield np.zeros(1)
     shifts = []
     lp = lm = 0.0
     for start in range(0, len(couplings), SCAN_BLOCK):
@@ -193,52 +196,105 @@ def _scan_pass(couplings: np.ndarray, fields: np.ndarray) -> tuple[array, float]
         top = max(head_p, head_m)
         mats[:, 0] = (head_p - top, head_m - top, head_p - top, head_m - top, top)
         lp_row, lm_row, scale = _prefix_rows(mats)
-        gaps.frombytes((lp_row - lm_row).tobytes())
         lp, lm = float(lp_row[-1]), float(lm_row[-1])
         shifts.append(float(scale[-1]))
+        yield lp_row - lm_row
     h_last = float(fields[-1])
     shifts.append(log_add_exp(lp + h_last, lm - h_last))
-    return gaps, math.fsum(shifts)
+    return math.fsum(shifts)
+
+
+class _LazyPass:
+    """One message pass, run a block of the kernel (_pass or _scan_pass) at a
+    time as far as its readers need. The first ``filled`` entries of the
+    preallocated ``out`` hold the end fields of the sites passed so far (h_x
+    plus half the gap), and ``log_z`` is set once the pass is finished."""
+
+    def __init__(self, couplings: np.ndarray, h: np.ndarray, out: np.ndarray):
+        kernel = _scan_pass if len(h) >= SCAN_MIN_SITES else _pass
+        self._blocks = kernel(couplings, h)
+        self._h, self._out = h, out
+        self.filled = 0
+        self.log_z: float | None = None
+
+    def run(self, stop: int | None = None) -> None:
+        """Fill out[:stop], or finish the pass where stop is None."""
+        while self.log_z is None and (stop is None or self.filled < stop):
+            try:
+                gaps = next(self._blocks)
+            except StopIteration as done:
+                self.log_z = done.value
+            else:
+                sites = slice(self.filled, self.filled + len(gaps))
+                np.add(self._h[sites], 0.5 * gaps, self._out[sites])
+                self.filled = sites.stop
 
 
 class ChainSweep:
     """Forward and backward message passes over one chain, stored per site.
 
-    Built once per ChainParams (``params.sweep``) in O(N). The backward pass is
-    the forward pass over the reflected chain, read back in site order.
+    Built once per ChainParams (``params.sweep``). The backward pass is the
+    forward pass over the reflected chain, read back in site order. Each pass
+    runs lazily (_LazyPass), a block at a time, only as far as a reader needs,
+    into one preallocated array, so the arrays already handed out stay valid.
 
-    * ``log_z``: log Z, accumulated by the forward pass.
-    * ``left_fields`` / ``right_fields``: float64 arrays; entry x is the field
-      on x once every site left / right of x is summed out (the end fields of
-      ``truncate``). The message from that side weighs sigma_x by
+    * ``left_field(x)`` / ``right_field(x)``: the field on x once every site
+      left / right of x is summed out (the end fields of ``truncate``), as a
+      float. The message from that side weighs sigma_x by
       exp(gap * sigma_x / 2), so the field is h_x plus half the stored gap.
-      ``left_field(x)`` / ``right_field(x)`` read one entry as a float.
-    * ``site_fields``: f_x = left + right - h_x, and ``means``: tanh of them,
-      the site means, computed on first use.
+      ``_window_fields(i, j)`` runs the forward pass up to j and the backward
+      pass down to i, for the readers of a window's fields.
+    * ``log_z``: log Z, accumulated by the forward pass; it finishes that pass.
+    * ``left_fields`` / ``right_fields``: the end fields as float64 arrays;
+      ``site_fields``: f_x = left + right - h_x, and ``means``: tanh of them,
+      the site means. Each finishes both passes.
 
     The end fields are the only form in which the solver reads a message:
     site means and covariances are closed forms in them (module docstring).
-    All arrays are read-only.
+    All arrays handed out are read-only.
     """
 
     def __init__(self, params: ChainParams) -> None:
-        couplings, h = params.couplings, params.fields
-        kernel = _scan_pass if len(h) >= SCAN_MIN_SITES else _pass
-        fwd, self.log_z = kernel(couplings, h)
-        bwd, _ = kernel(couplings[::-1], h[::-1])
-        self.left_fields = _read_only(h + 0.5 * np.frombuffer(fwd))
-        self.right_fields = _read_only(h + 0.5 * np.frombuffer(bwd)[::-1])
-        self.site_fields = _read_only(self.left_fields + self.right_fields - h)
+        couplings, self._h = params.couplings, params.fields
+        self._fields = left, right = np.empty(len(self._h)), np.empty(len(self._h))
+        self._forward = _LazyPass(couplings, self._h, left)
+        self._backward = _LazyPass(couplings[::-1], self._h[::-1], right[::-1])
+
+    def _window_fields(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """(left, right) field arrays, the left fields filled on [0, j] and
+        the right fields on [i, N); the package's readers only read them."""
+        self._forward.run(j + 1)
+        self._backward.run(len(self._h) - i)
+        return self._fields
+
+    @property
+    def log_z(self) -> float:
+        self._forward.run()
+        return self._forward.log_z
+
+    @property
+    def left_fields(self) -> np.ndarray:
+        return _read_only(self._window_fields(0, len(self._h) - 1)[0].view())
+
+    @property
+    def right_fields(self) -> np.ndarray:
+        return _read_only(self._window_fields(0, len(self._h) - 1)[1].view())
+
+    @functools.cached_property
+    def site_fields(self) -> np.ndarray:
+        return _read_only(self.left_fields + self.right_fields - self._h)
 
     @functools.cached_property
     def means(self) -> np.ndarray:
         return _read_only(np.tanh(self.site_fields))
 
     def left_field(self, x: int) -> float:
-        return self.left_fields.item(x)
+        self._forward.run(x + 1)
+        return self._fields[0].item(x)
 
     def right_field(self, x: int) -> float:
-        return self.right_fields.item(x)
+        self._backward.run(len(self._h) - x)
+        return self._fields[1].item(x)
 
 
 def log_partition(params: ChainParams) -> float:
@@ -310,19 +366,24 @@ def _covariance_terms(
     two-site chain on edge k (module docstring) for k in [i, stop), -inf at a
     zero coupling; interior[k - i - 1] is 2 log cosh f_k = -log var(sigma_k)
     for k in (i, stop); negative[k - i] is the parity of the negative
-    couplings on edges i..k. O(stop - i).
+    couplings on edges i..k. O(stop - i) once the sweep's passes reach the
+    window (ChainSweep._window_fields).
     """
-    sweep = params.sweep
+    left, right = params.sweep._window_fields(i, stop)
     m = stop - i
     jk = params.couplings[i:stop]
-    a = sweep.left_fields[i:stop]
-    b = sweep.right_fields[i + 1 : stop + 1]
+    a = left[i:stop]
+    b = right[i + 1 : stop + 1]
     flip = jk < 0.0
     # cov is odd in (J, b): flip both so the closed form sees |J|
     b = np.where(flip, -b, b)
     jk = np.abs(jk)
     # one log cosh pass over a + b, a - b and the interior site fields
-    x = np.concatenate([a + b, a - b, sweep.site_fields[i + 1 : stop]])
+    x = np.empty(3 * m - 1)
+    np.add(a, b, out=x[:m])
+    np.subtract(a, b, out=x[m : 2 * m])
+    sites = np.add(left[i + 1 : stop], right[i + 1 : stop], out=x[2 * m :])
+    sites -= params.fields[i + 1 : stop]
     with np.errstate(divide="ignore", under="ignore"):
         log_cosh = _log_cosh(x)
         p = log_cosh[:m]

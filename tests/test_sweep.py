@@ -50,7 +50,11 @@ from isingchain.transfer import (
     SCAN_BLOCK,
     SCAN_MIN_SITES,
     _covariance_terms,
+    _log_add,
+    _matrix_product,
     _pass,
+    _renormalized,
+    _row_product,
     _row_sums,
     _scan_pass,
     log_abs_covariance,
@@ -598,6 +602,16 @@ def test_extreme_scan_chain_matches_high_precision():
         assert abs(sweep.right_field(x) - right[x]) <= tol
 
 
+def drain(blocks):
+    """(every gap, log Z) of a pass kernel's blocks."""
+    gaps = []
+    while True:
+        try:
+            gaps += next(blocks).tolist()
+        except StopIteration as done:
+            return gaps, done.value
+
+
 @pytest.mark.parametrize("n_sites", [SCAN_MIN_SITES - 1, SCAN_MIN_SITES])
 @pytest.mark.parametrize("scale", [1.0, 1e3])
 def test_kernels_agree_at_the_switch(n_sites, scale):
@@ -607,8 +621,8 @@ def test_kernels_agree_at_the_switch(n_sites, scale):
     rng = np.random.default_rng(81)
     params = random_params(rng, n_sites, -scale, scale, -scale, scale)
     couplings, fields = params.couplings, params.fields
-    loop_gaps, loop_log_z = _pass(couplings, fields)
-    scan_gaps, scan_log_z = _scan_pass(np.array(couplings), np.array(fields))
+    loop_gaps, loop_log_z = drain(_pass(couplings, fields))
+    scan_gaps, scan_log_z = drain(_scan_pass(np.array(couplings), np.array(fields)))
     kernel_log_z = scan_log_z if n_sites >= SCAN_MIN_SITES else loop_log_z
     assert params.sweep.log_z == kernel_log_z
     tol = 2.0 * end_field_tolerance(params)
@@ -695,6 +709,32 @@ def test_sweep_arrays_are_read_only():
         assert values.dtype == np.float64 and len(values) == 6
         with pytest.raises(ValueError):
             values[0] = 0.0
+
+
+def test_stacked_products_equal_entrywise_log_adds():
+    """_matrix_product and _row_product take the log-sum-exp of every entry
+    in one stacked _log_add; each entry must be the floats of its own
+    _log_add, so the scan's gaps do not depend on the stacking."""
+    rng = np.random.default_rng(86)
+    x, y = rng.uniform(-800.0, 800.0, (2, 5, 3000))
+    x[:, ::7] = 0.0
+    y[:4, 1::5] -= 1e3
+
+    def log_add(a, b):
+        out = np.zeros(len(a))
+        _log_add(a + 0.0, b, out)
+        return out
+
+    xa, xb, xc, xd, xs = x
+    ya, yb, yc, yd, ys = y
+    entries = [
+        log_add(xa + ya, xb + yc), log_add(xa + yb, xb + yd),
+        log_add(xc + ya, xd + yc), log_add(xc + yb, xd + yd), xs + ys,
+    ]
+    assert _matrix_product(x, y).tobytes() == _renormalized(np.array(entries)).tobytes()
+    rows = [log_add(xa + ya, xb + yc), log_add(xa + yb, xb + yd), xc + ys]
+    got = _row_product(x[[0, 1, 2]], y)
+    assert got.tobytes() == _renormalized(np.array(rows)).tobytes()
 
 
 def _gauged(params, rng):

@@ -210,16 +210,16 @@ class _LazyPass:
     preallocated ``out`` hold the end fields of the sites passed so far (h_x
     plus half the gap), and ``log_z`` is set once the pass is finished."""
 
-    def __init__(self, couplings: np.ndarray, h: np.ndarray, out: np.ndarray):
+    def __init__(self, couplings: np.ndarray, h: np.ndarray, out: np.ndarray) -> None:
         kernel = _scan_pass if len(h) >= SCAN_MIN_SITES else _pass
         self._blocks = kernel(couplings, h)
         self._h, self._out = h, out
         self.filled = 0
         self.log_z: float | None = None
 
-    def run(self, stop: int | None = None) -> None:
-        """Fill out[:stop], or finish the pass where stop is None."""
-        while self.log_z is None and (stop is None or self.filled < stop):
+    def run(self, stop: int) -> None:
+        """Fill out[:stop]; a stop past the last site finishes the pass."""
+        while self.log_z is None and self.filled < stop:
             try:
                 gaps = next(self._blocks)
             except StopIteration as done:
@@ -269,7 +269,7 @@ class ChainSweep:
 
     @property
     def log_z(self) -> float:
-        self._forward.run()
+        self._forward.run(len(self._h) + 1)
         return self._forward.log_z
 
     @property

@@ -212,22 +212,27 @@ class _LazyPass:
 
     def __init__(self, couplings: np.ndarray, h: np.ndarray, out: np.ndarray) -> None:
         kernel = _scan_pass if len(h) >= SCAN_MIN_SITES else _pass
-        self._blocks = kernel(couplings, h)
+        self._start = functools.partial(kernel, couplings, h)
+        self._blocks = self._start()
         self._h, self._out = h, out
         self.filled = 0
         self.log_z: float | None = None
 
     def run(self, stop: int) -> None:
         """Fill out[:stop]; a stop past the last site finishes the pass."""
-        while self.log_z is None and self.filled < stop:
-            try:
+        try:
+            while self.log_z is None and self.filled < stop:
                 gaps = next(self._blocks)
-            except StopIteration as done:
-                self.log_z = done.value
-            else:
                 sites = slice(self.filled, self.filled + len(gaps))
                 np.add(self._h[sites], 0.5 * gaps, self._out[sites])
                 self.filled = sites.stop
+        except StopIteration as done:
+            self.log_z = done.value
+        except BaseException:
+            # A pass cut short (an interrupt, no memory) cannot resume its
+            # kernel, so the next read reruns it from the first block.
+            self._blocks, self.filled = self._start(), 0
+            raise
 
 
 class ChainSweep:

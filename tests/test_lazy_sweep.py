@@ -126,3 +126,27 @@ def test_compare_runs_each_pass_only_as_far_as_its_window():
     compare(params, middle, middle + 200)
     sweep = params.sweep
     assert sweep._forward.filled == sweep._backward.filled == 3 * SCAN_BLOCK + 1
+
+
+def test_a_pass_cut_short_reruns_from_its_first_block(monkeypatch):
+    """An interrupt inside a scan block leaves the pass to rerun from its
+    first block, so the next read gets the eager floats."""
+    import isingchain.transfer as transfer_mod
+
+    prefix_rows, blocks = transfer_mod._prefix_rows, []
+
+    def interrupted(mats):
+        if mats.shape[1] == SCAN_BLOCK:
+            blocks.append(mats)
+            if len(blocks) == 2:
+                raise KeyboardInterrupt
+        return prefix_rows(mats)
+
+    params = chain(LONG, "nonneg")
+    monkeypatch.setattr(transfer_mod, "_prefix_rows", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        compare(params, 5, LONG - 5)
+    assert params.sweep._forward.filled == 0
+    monkeypatch.setattr(transfer_mod, "_prefix_rows", prefix_rows)
+    want = compare(forced(LONG, "nonneg"), 5, LONG - 5)
+    assert repr(compare(params, 5, LONG - 5)) == repr(want)

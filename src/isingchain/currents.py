@@ -12,9 +12,14 @@ a root seed. The Monte-Carlo estimators read a current only through each
 edge's class (absent, odd, or even and positive), drawn from one uniform u
 per edge from one PCG64 stream per call, filled sample by sample, and kept
 as two boolean planes: `opened` (u >= P(0)) and `odd` (P(0) <= u < P(0) +
-P(odd)). Every per-sample term is an integer or a half-integer, so every sum
-over samples is exact (a count, or half of one) however it is grouped, and an
-estimate is a bit-for-bit function of (parameters, seed, sample count).
+P(odd)). A call cuts its samples into W contiguous ranges, one per worker
+thread, W the smaller of the usable CPUs and the number of chunks; each range
+draws its own slice of the one stream, a PCG64 jumped ahead (`advance`) to
+the range's first draw, in chunks 1/W as long as one worker's. Every
+per-sample term is an integer or a half-integer, so every sum over samples is
+exact (a count, or half of one) however it is grouped, by chunk or by range,
+and an estimate is a bit-for-bit function of (parameters, seed, sample
+count), whatever the CPU count.
 
 The exact oracles cost O(N). The lattice boundary equals the ghost boundary
 iff the total ghost mass is even and every lattice edge x carries the parity
@@ -29,8 +34,10 @@ the signed moment sum is a product of per-edge parity probabilities.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -39,10 +46,12 @@ from .errors import CapacityError, InconclusiveEstimateError, PreconditionError
 from .instances import SEED_LIMIT
 from .transfer import covariance
 
-# Samples per estimator chunk. A chunk holds one float64 uniform and up to four
-# plane bytes per edge draw (about 2 MiB for 6-site pairs), and at most
-# _CHUNK_DRAWS edge draws (16 MiB of uniforms), which long chains reach. Every
-# sum is an exact count or half of one, so neither cap can move an estimate.
+# Samples per estimator chunk of a one-worker draw. A chunk holds one float64
+# uniform and up to four plane bytes per edge draw (about 2 MiB for 6-site
+# pairs), and at most _CHUNK_DRAWS edge draws (16 MiB of uniforms), which long
+# chains reach. W workers each draw chunks of 1/W as many samples, so together
+# they hold the memory one worker holds. Every sum is an exact count or half
+# of one, so neither cap nor W can move an estimate.
 _CHUNK = 1 << 13
 _CHUNK_DRAWS = 1 << 21
 
@@ -75,32 +84,45 @@ def poisson_parity(rate: float) -> tuple[float, float, float]:
     return p_zero, p_even, p_odd
 
 
-def _plane_chunks(
-    params: ChainParams, seed: int, samples: int, copies: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield the planes (opened, odd) of each chunk of k independent samples.
+def _chunk_rows(draws: int, samples: int) -> int:
+    """Samples per chunk of a one-worker draw of `draws` uniforms per sample."""
+    return max(1, min(_CHUNK, _CHUNK_DRAWS // draws, samples))
 
-    width = n_edges + n_sites, lattice edges first. The uniforms come from
-    one generator, filled in C order as a (k, copies, width) block, so sample
-    s reads the same uniforms whatever the chunk size. Each sample's row is
-    compared against the copies * width thresholds into `opened`, shape
-    (k, copies, width), a buffer the next chunk overwrites; `odd` is copied
-    once edge axis first, shape (width, copies, k), so parity, boundary and
-    sign tests run along rows.
+
+def _plane_chunks(
+    params: ChainParams,
+    seed: int,
+    samples: int,
+    copies: int,
+    workers: int = 1,
+    worker: int = 0,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield the planes (opened, odd) of each chunk of k independent samples
+    of range `worker` of the `workers` contiguous ranges that cut
+    [0, samples) in order.
+
+    width = n_edges + n_sites, lattice edges first. The uniforms are the
+    call's one stream, PCG64(SeedSequence(seed)) advanced to the range's
+    first draw, filled in C order as (k, copies, width) blocks, so sample s
+    reads the same uniforms whatever the chunk size or the range count. Each
+    sample's row is compared against the copies * width thresholds into
+    `opened`, shape (k, copies, width), a buffer the next chunk overwrites;
+    `odd` is copied once edge axis first, shape (width, copies, k), so
+    parity, boundary and sign tests run along rows.
     """
-    samples = _check_integer(samples, "samples", 1)
-    seed = _check_integer(seed, "seed", 0, SEED_LIMIT)
     rates = np.abs(np.concatenate((params.couplings, params.fields)))
     laws = [poisson_parity(r) for r in rates]
     p_zero = np.array([[law[0] for law in laws]] * copies)
     p_zero_or_odd = p_zero + np.array([[law[2] for law in laws]] * copies)
-    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    rows = max(1, min(_CHUNK, _CHUNK_DRAWS // p_zero.size, samples))
+    start, stop = (samples * w // workers for w in (worker, worker + 1))
+    bitgen = np.random.PCG64(np.random.SeedSequence(seed))
+    gen = np.random.Generator(bitgen.advance(start * p_zero.size))
+    rows = max(1, _chunk_rows(p_zero.size, samples) // workers)
     uniforms = np.empty((rows,) + p_zero.shape)
     opened = np.empty(uniforms.shape, dtype=bool)
     odd = np.empty(uniforms.shape, dtype=bool)
-    for done in range(0, samples, rows):
-        k = min(rows, samples - done)
+    for done in range(start, stop, rows):
+        k = min(rows, stop - done)
         u = gen.random(out=uniforms[:k])
         np.greater_equal(u, p_zero, out=opened[:k])
         np.less(u, p_zero_or_odd, out=odd[:k])
@@ -213,23 +235,65 @@ def _paired_terms(
 
 
 def _sample_stats(
-    terms: Iterable[tuple[np.ndarray, np.ndarray]],
+    params: ChainParams,
+    seed: int,
+    samples: int,
+    copies: int,
+    terms: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
 ) -> tuple[int, float, float, float, float, float]:
-    """(n, a_bar, b_bar, var_a, var_b, cov_ab) of numerator and denominator
-    terms summed chunk by chunk.
+    """(n, a_bar, b_bar, var_a, var_b, cov_ab) of the numerator and denominator
+    terms `terms(opened, odd)` of each chunk of `samples` samples.
+
+    W worker threads each sum one range of _plane_chunks, W the smaller of
+    the usable CPUs and the chunks of a one-worker draw; the calling thread
+    is worker 0 and starts no thread when W is 1. The ranges tile the
+    samples, so n is `samples`. Each range's five term sums are exact, so
+    adding them in range order gives the floats of one worker. An error in
+    any worker, or an interrupt of the calling thread, stops every worker at
+    its next chunk; every thread is joined, then the first error is raised.
 
     Raises InconclusiveEstimateError when the denominator mean b_bar is not
     separated from zero by 4 standard errors.
     """
-    n = 0
-    s_a = s_b = s_aa = s_bb = s_ab = 0.0
-    for a, b in terms:
-        n += a.shape[0]
-        s_a += float(a.sum())
-        s_b += float(b.sum())
-        s_aa += float(a @ a)
-        s_bb += float(b @ b)
-        s_ab += float(a @ b)
+    n = _check_integer(samples, "samples", 1)
+    seed = _check_integer(seed, "seed", 0, SEED_LIMIT)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    draws = copies * (params.n_edges + params.n_sites)
+    workers = min(cpus, -(-n // _chunk_rows(draws, n)))
+    sums = [np.zeros(5) for _ in range(workers)]
+    errors: list[BaseException] = []
+    failed = threading.Event()
+
+    def work(worker: int) -> None:
+        try:
+            for planes in _plane_chunks(params, seed, n, copies, workers, worker):
+                if failed.is_set():
+                    return
+                a, b = terms(*planes)
+                sums[worker] += (a.sum(), b.sum(), a @ a, b @ b, a @ b)
+        except BaseException as exc:  # raised again by the calling thread
+            errors.append(exc)
+            failed.set()
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+    try:
+        for thread in threads:
+            thread.start()
+        work(0)
+        for thread in threads:
+            thread.join()
+    except BaseException:
+        failed.set()
+        for thread in threads:
+            if thread.is_alive():
+                thread.join()
+        raise
+    if errors:
+        raise errors[0]
+    s_a, s_b, s_aa, s_bb, s_ab = sum(sums).tolist()
     a_bar = s_a / n
     b_bar = s_b / n
     # With one sample each difference below is exactly 0.0: no spread.
@@ -256,8 +320,8 @@ def mc_moment(
     cols = sorted({_check_site(params, x) for x in sites})
     negative = _negative_mask(params)
     n, y_bar, x_bar, var_y, var_x, cov_yx = _sample_stats(
-        _moment_terms(odd[:, 0], params.n_edges, cols, negative)
-        for _, odd in _plane_chunks(params, seed, samples, copies=1)
+        params, seed, samples, 1,
+        lambda _, odd: _moment_terms(odd[:, 0], params.n_edges, cols, negative),
     )
     ratio = y_bar / x_bar
     var_ratio = (var_y - 2.0 * ratio * cov_yx + ratio * ratio * var_x) / (
@@ -279,8 +343,8 @@ def mc_switching_covariance(
     i, j = _check_pair(params, i, j, "covariance")
     negative = _negative_mask(params)
     n, w_bar, d_bar, var_w, var_d, cov_wd = _sample_stats(
-        _paired_terms(opened, odd, params.n_edges, i, j, negative)
-        for opened, odd in _plane_chunks(params, seed, samples, copies=2)
+        params, seed, samples, 2,
+        lambda *planes: _paired_terms(*planes, params.n_edges, i, j, negative),
     )
     ratio = w_bar / (d_bar * d_bar)
     var_ratio = (

@@ -1,6 +1,9 @@
 """Monte-Carlo moment and covariance estimators against exact oracles."""
 
+import json
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from isingchain import (
     mc_switching_covariance,
     poisson_parity,
 )
-from isingchain import currents
+from isingchain import cli, currents
 from isingchain.currents import (
     _ghost_disconnected,
     _mixed_radix_rows,
@@ -24,6 +27,12 @@ from isingchain.currents import (
     _paired_terms,
     _plane_chunks,
 )
+
+
+def set_cpus(monkeypatch, cpus):
+    """Make `cpus` CPUs usable, as the estimators count them."""
+    usable = set(range(cpus))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: usable, raising=False)
 
 
 def z_score(estimate, exact):
@@ -299,15 +308,116 @@ class TestClassLaw:
         assert mc_switching_covariance(params, 0, 64, samples=10_000, seed=4) == default
 
     def test_one_generator_per_call(self, monkeypatch):
-        made = []
+        # One stream per call: every PCG64 a call makes is
+        # PCG64(SeedSequence(seed)) advanced to the first draw of its range,
+        # and the ranges tile [0, samples) in order. 70 000 samples are 9
+        # chunks, so a call makes one generator per usable CPU: on one CPU
+        # the two calls make exactly 2.
         real = np.random.PCG64
+        made = []
 
-        def counting(*args, **kwargs):
-            made.append(args)
-            return real(*args, **kwargs)
+        class Recording(real):
+            def __init__(self, seed_seq):
+                super().__init__(seed_seq)
+                self.given = seed_seq
+                made.append(self)
 
-        monkeypatch.setattr(np.random, "PCG64", counting)
+            def advance(self, delta):
+                self.delta = delta
+                return super().advance(delta)
+
+        monkeypatch.setattr(np.random, "PCG64", Recording)
         params = ChainParams((1.0,) * 5, (0.1,) * 6)
-        mc_switching_covariance(params, 0, 5, samples=70_000, seed=3)
-        mc_moment(params, (0, 5), samples=70_000, seed=3)
-        assert len(made) == 2
+        width = params.n_edges + params.n_sites
+        samples = 70_000
+        calls = (
+            (2, lambda: mc_switching_covariance(params, 0, 5, samples=samples, seed=3)),
+            (1, lambda: mc_moment(params, (0, 5), samples=samples, seed=3)),
+        )
+        for cpus in (1, 2, 3, 7):
+            set_cpus(monkeypatch, cpus)
+            per_call = []
+            for copies, call in calls:
+                made.clear()
+                call()
+                per_call.append(len(made))
+                draws = copies * width
+                made.sort(key=lambda gen: gen.delta)
+                starts = [gen.delta // draws for gen in made]
+                assert [gen.delta % draws for gen in made] == [0] * len(made)
+                assert starts[0] == 0
+                for gen, stop in zip(made, starts[1:] + [samples]):
+                    assert gen.given.entropy == 3 and gen.given.spawn_key == ()
+                    want = real(np.random.SeedSequence(3)).advance(stop * draws)
+                    assert gen.state["state"] == want.state["state"]
+            assert per_call == [cpus, cpus]
+
+
+# A signed chain, and the 129-edge chain whose covariance chunks the draw cap sets.
+WORKER_CHAINS = [
+    (ChainParams((0.6, -0.9, 1.3), (-0.2, 0.4, 0.1, -0.5)), 0, 3),
+    (ChainParams((0.01,) * 64, (0.0,) * 65), 0, 1),
+]
+
+
+@pytest.mark.parametrize("params, i, j", WORKER_CHAINS)
+@pytest.mark.parametrize(
+    "samples", [1, currents._CHUNK - 1, currents._CHUNK + 1, 70_001]
+)
+def test_worker_count_cannot_move_an_estimate(monkeypatch, params, i, j, samples):
+    def outcome(estimate):
+        try:
+            return estimate()
+        except InconclusiveEstimateError as exc:
+            return str(exc)
+
+    seen = {}
+    for cpus in (1, 2, 3, 7):
+        set_cpus(monkeypatch, cpus)
+        seen[cpus] = (
+            outcome(lambda: mc_moment(params, (i, j), samples, seed=21)),
+            outcome(lambda: mc_switching_covariance(params, i, j, samples, seed=21)),
+        )
+    assert seen[2] == seen[1] and seen[3] == seen[1] and seen[7] == seen[1]
+
+
+def test_worker_error_exits_3_and_joins_every_thread(monkeypatch, capsys, tmp_path):
+    set_cpus(monkeypatch, 2)
+    real = currents._paired_terms
+
+    def failing(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("a second worker's chunk")
+        return real(*args)
+
+    monkeypatch.setattr(currents, "_paired_terms", failing)
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"J": [0.8, 0.3], "h": [0.5, 0.2, 0.1]}))
+    threads = threading.active_count()
+    argv = ["mc", "--instance", str(path), "--i", "0", "--j", "2", "--seed", "1"]
+    assert cli.main(argv + ["--samples", "100000"]) == 3
+    err = capsys.readouterr().err
+    assert "request too large for memory: a second worker's chunk" in err
+    assert "Traceback" not in err
+    assert threading.active_count() == threads
+
+
+def test_interrupt_stops_and_joins_every_worker(monkeypatch):
+    set_cpus(monkeypatch, 2)
+    real = currents._paired_terms
+    worker_chunks = []
+
+    def interrupted(*args):
+        if threading.current_thread() is threading.main_thread():
+            raise KeyboardInterrupt
+        worker_chunks.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(currents, "_paired_terms", interrupted)
+    threads = threading.active_count()
+    params = ChainParams((1.0,) * 5, (0.1,) * 6)
+    with pytest.raises(KeyboardInterrupt):
+        mc_switching_covariance(params, 0, 5, samples=1_000_000, seed=3)
+    assert threading.active_count() == threads
+    # The second worker's range is 123 chunks; it stops at its next one.
+    assert len(worker_chunks) < 100

@@ -7,6 +7,8 @@ here.
 
 import importlib
 import importlib.util
+import json
+import os
 from pathlib import Path
 
 import pytest
@@ -30,3 +32,41 @@ SPANS_MODULE = load_spans()
 def test_tracer_target_exists(module, name):
     target = getattr(importlib.import_module(f"isingchain.{module}"), name, None)
     assert callable(target), f"isingchain.{module}.{name} is missing"
+
+
+def test_threaded_mc_calls_trace_one_root_each(monkeypatch, capsys, tmp_path):
+    # With 2 CPUs usable each call sums its samples on two threads; only the
+    # calling thread may enter a traced function, or the tracer's one span
+    # stack would mix the threads' spans.
+    from isingchain import cli
+
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"J": [0.8, 0.3], "h": [0.5, 0.2, 0.1]}))
+    argv = ["mc", "--instance", str(path), "--i", "0", "--j", "2", "--samples", "50000"]
+
+    def traced_calls(cpus):
+        usable = set(range(cpus))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: usable, raising=False)
+        tracer = SPANS_MODULE.Tracer()
+        tracer.install()
+        try:
+            codes = [cli.main(argv + ["--seed", seed]) for seed in ("1", "2")]
+        finally:
+            tracer.uninstall()
+        capsys.readouterr()
+        assert codes == [0, 0]
+        return tracer.spans
+
+    spans = traced_calls(2)
+    name, start, end, parent = (
+        SPANS_MODULE.NAME, SPANS_MODULE.START, SPANS_MODULE.END, SPANS_MODULE.PARENT
+    )
+    assert [s[name] for s in spans if s[parent] < 0] == ["cli.cmd_mc"] * 2
+    for index, span in enumerate(spans):
+        assert -1 <= span[parent] < index
+        # One thread's spans nest or follow each other, never overlap.
+        for later in spans[index + 1 :]:
+            assert later[end] <= span[end] or span[end] <= later[start]
+    one_cpu = traced_calls(1)
+    assert [s[name] for s in spans] == [s[name] for s in one_cpu]
+    assert [s[parent] for s in spans] == [s[parent] for s in one_cpu]

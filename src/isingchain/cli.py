@@ -53,14 +53,18 @@ from .transfer import covariance, log_partition
 
 def _csv(columns: Sequence[str], rows: Iterable[Sequence[Any]]) -> Iterator[str]:
     """The lines of the CSV table of ``columns`` over ``rows``, each cell
-    through format_cell."""
+    through format_cell: the table of ``bounds``, ``mc`` and ``decay``.
+    ``sweep`` and ``exact`` format their rows through fixed ``%``-templates
+    instead, whose ``%.17g`` is format_cell's float cell."""
     for row in itertools.chain([columns], rows):
         yield ",".join(v if isinstance(v, str) else format_cell(v) for v in row) + "\n"
 
 
 def _emit(args: argparse.Namespace, record: Any, lines: Iterable[str]) -> None:
     """Write a subcommand's result to stdout: ``record`` as indented JSON for
-    ``--out json``, else the CSV text ``lines`` (_csv).
+    ``--out json``, else the CSV text ``lines``. ``bounds``, ``mc`` and
+    ``decay`` pass _csv's lines; ``sweep`` and ``exact`` pass lines they
+    format through ``%``-templates. ``lines`` is read only for CSV output.
 
     A reader that closes the pipe early (``| head``) ends the output, not the
     command: stdout then points at os.devnull, so the flush at exit cannot
@@ -142,16 +146,17 @@ def cmd_exact(args: argparse.Namespace) -> int:
         "log_partition": log_z,
         "means": means,
     }
-    rows = [("log_partition", log_z), *((f"mean_{x}", m) for x, m in enumerate(means))]
+    # the key,value table, one %-template per key kind (%.17g is format_cell's
+    # float cell); the means are formatted only when the table is written
+    head = ["key,value\n", "log_partition,%.17g\n" % log_z]
+    tail: list[str] = []
     if pair is not None:
         i, j = pair
         cov = covariance(params, i, j)
         result["pair"] = {"i": i, "j": j, "covariance": cov}
-        rows.append(("covariance", cov))
+        tail.append("covariance,%.17g\n" % cov)
     if params.n_sites <= ENUMERATION_CAP:
-        e_log_z, e_means, e_cov = enum_summary(
-            params, *(pair if pair is not None else (None, None))
-        )
+        e_log_z, e_means, e_cov = enum_summary(params, *(pair or (None, None)))
         _check_oracle("log partition", [log_z], [e_log_z], ["every site"])
         sites = [f"site {x}" for x in range(params.n_sites)]
         _check_oracle("mean", mean_array, e_means, sites)
@@ -163,8 +168,9 @@ def cmd_exact(args: argparse.Namespace) -> int:
             _check_oracle("covariance", [cov], [e_cov], [(i, j)])
             check["covariance"] = e_cov
         result["enum_check"] = check
-        rows += [(f"enum_{key}", value) for key, value in check.items()]
-    _emit(args, result, _csv(("key", "value"), rows))
+        tail += map("enum_%s,%.17g\n".__mod__, check.items())
+    mean_lines = map("mean_%d,%.17g\n".__mod__, enumerate(means))
+    _emit(args, result, itertools.chain(head, mean_lines, tail))
     return 0
 
 

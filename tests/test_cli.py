@@ -33,7 +33,7 @@ from isingchain import (
     site_mean,
 )
 from isingchain.bounds import DOMINANCE_TOL, REPORT_COLUMNS, format_cell
-from isingchain.chain import _enumerate
+from isingchain.chain import ENUMERATION_CAP, _enumerate
 from isingchain.cli import build_parser, main
 from isingchain.currents import McEstimate
 from isingchain.transfer import SCAN_MIN_SITES
@@ -124,6 +124,46 @@ class TestExact:
         values = kv_csv(out)
         for x in range(n_sites):
             assert values[f"mean_{x}"] == format(site_mean(params, x), ".17g")
+
+    @pytest.mark.parametrize(
+        "source, pair, cov_sign",
+        [
+            ({"J": [0.8, 0.3], "h": [0.5, 0.2, 0.1]}, (0, 2), 1.0),
+            ({"J": [], "h": [0.3]}, None, None),
+            ({"J": [0.5, 0.0, 0.7], "h": [0.1, -0.2, 0.3, 0.4]}, (0, 3), 0.0),
+            ({"J": [-0.8, 0.3], "h": [0.5, -0.2, 0.1]}, (0, 1), -1.0),
+            ({"n_sites": 24, "seed": 1}, (0, 23), None),
+            ({"n_sites": 24, "seed": 1}, None, None),
+            ({"n_sites": 25, "seed": 3}, (2, 20), None),
+            ({"n_sites": SCAN_MIN_SITES, "seed": 4}, (7, SCAN_MIN_SITES - 1), None),
+        ],
+        ids=[
+            "readme", "one-site", "zero-coupling", "negative-coupling",
+            "cap-pair", "cap-no-pair", "past-cap", "scan",
+        ],
+    )
+    def test_csv_renders_the_json_record(self, capsys, tmp_path, source, pair, cov_sign):
+        # the table is the key, then format_cell of the value, for every
+        # number of the command's own --out json record, in its order
+        flag = "--spec" if "n_sites" in source else "--instance"
+        argv = ["exact", flag, write_json(tmp_path, "input.json", source)]
+        if pair is not None:
+            argv += ["--i", str(pair[0]), "--j", str(pair[1])]
+        code, out, err = run(capsys, *argv)
+        json_code, json_out, json_err = run(capsys, *argv, "--out", "json")
+        assert code == json_code == 0 and err == json_err == ""
+        doc = json.loads(json_out)
+        rows = [("log_partition", doc["log_partition"])]
+        rows += [(f"mean_{x}", m) for x, m in enumerate(doc["means"])]
+        if pair is not None:
+            rows.append(("covariance", doc["pair"]["covariance"]))
+        rows += [(f"enum_{k}", v) for k, v in doc.get("enum_check", {}).items()]
+        assert ("enum_check" in doc) == (doc["n_sites"] <= ENUMERATION_CAP)
+        assert out == "key,value\n" + "".join(f"{k},{format_cell(v)}\n" for k, v in rows)
+        if cov_sign is not None:
+            assert np.sign(doc["pair"]["covariance"]) == cov_sign
+        if cov_sign == 0.0:
+            assert "\ncovariance,0\n" in out
 
     def test_csv_is_lf_terminated(self, capsys, single_edge):
         _, out, _ = run(capsys, "exact", "--instance", single_edge)
@@ -1145,6 +1185,23 @@ class TestModuleEntryPoint:
             env=self.child_env(),
         ) as proc:
             assert proc.stdout.readline() == b"distance,rate,bound_rate,flag\n"
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=60) == 0
+        assert "Traceback" not in err and "Exception ignored" not in err
+
+    def test_exact_reader_closing_the_pipe_early(self, tmp_path):
+        # as `exact ... | head -1`: the 20 003 lines of a 20 000-site table
+        # outgrow a pipe buffer, so the command is still writing them
+        spec = write_json(tmp_path, "spec.json", {"n_sites": 20_000, "seed": 1})
+        argv = ["exact", "--spec", spec, "--i", "0", "--j", "19999"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "isingchain", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=self.child_env(),
+        ) as proc:
+            assert proc.stdout.readline() == b"key,value\n"
             proc.stdout.close()
             err = proc.stderr.read().decode()
             assert proc.wait(timeout=60) == 0

@@ -4,22 +4,22 @@ A current on the ghost-extended chain assigns an arrival count to every
 nearest-neighbour edge (rate |J_x|, indexed by the left site) and to every
 site-to-ghost edge (rate |h_x|), all independent Poisson. The boundary of a
 current is the set of vertices with odd total degree, the ghost included.
-Signed parameters keep the same measure; estimators weight each sample by
+Signed parameters keep the same measure; the estimator weights each sample by
 (-1) to the number of arrivals on negative-parameter edges.
 
 The public sampler draws Poisson counts, one PCG64 stream per edge split off
-a root seed. The Monte-Carlo estimators read a current only through each
-edge's class (absent, odd, or even and positive), drawn from one uniform u
-per edge from one PCG64 stream per call, filled sample by sample, and kept
-as two boolean planes: `opened` (u >= P(0)) and `odd` (P(0) <= u < P(0) +
-P(odd)). A call cuts its samples into W contiguous ranges, one per worker
-thread, W the smaller of the usable CPUs and the number of chunks; each range
-draws its own slice of the one stream, a PCG64 jumped ahead (`advance`) to
-the range's first draw, in chunks 1/W as long as one worker's. Every
-per-sample term is an integer or a half-integer, so every sum over samples is
-exact (a count, or half of one) however it is grouped, by chunk or by range,
-and an estimate is a bit-for-bit function of (parameters, seed, sample
-count), whatever the CPU count.
+a root seed. The Monte-Carlo covariance estimator reads a current only
+through each edge's class (absent, odd, or even and positive), drawn from
+one uniform u per edge from one PCG64 stream per call, filled sample by
+sample, and kept as two boolean planes: `opened` (u >= P(0)) and `odd`
+(P(0) <= u < P(0) + P(odd)). A call cuts its samples into W contiguous
+ranges, one per worker thread, W the smaller of the usable CPUs and the
+number of chunks; each range draws its own slice of the one stream, a PCG64
+jumped ahead (`advance`) to the range's first draw, in chunks 1/W as long as
+one worker's. Every per-sample term is an integer or a half-integer, so
+every sum over samples is exact (a count, or half of one) however it is
+grouped, by chunk or by range, and an estimate is a bit-for-bit function of
+(parameters, seed, sample count), whatever the CPU count.
 
 The exact oracles cost O(N). The lattice boundary equals the ghost boundary
 iff the total ghost mass is even and every lattice edge x carries the parity
@@ -37,7 +37,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -93,27 +93,26 @@ def _plane_chunks(
     params: ChainParams,
     seed: int,
     samples: int,
-    copies: int,
     workers: int = 1,
     worker: int = 0,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield the planes (opened, odd) of each chunk of k independent samples
     of range `worker` of the `workers` contiguous ranges that cut
-    [0, samples) in order.
+    [0, samples) in order; a sample is a pair of currents.
 
     width = n_edges + n_sites, lattice edges first. The uniforms are the
     call's one stream, PCG64(SeedSequence(seed)) advanced to the range's
-    first draw, filled in C order as (k, copies, width) blocks, so sample s
+    first draw, filled in C order as (k, 2, width) blocks, so sample s
     reads the same uniforms whatever the chunk size or the range count. Each
-    sample's row is compared against the copies * width thresholds into
-    `opened`, shape (k, copies, width), a buffer the next chunk overwrites;
-    `odd` is copied once edge axis first, shape (width, copies, k), so
-    parity, boundary and sign tests run along rows.
+    sample's row is compared against the pair's 2 * width thresholds into
+    `opened`, shape (k, 2, width), a buffer the next chunk overwrites; `odd`
+    is copied once edge axis first, shape (width, 2, k), so parity, boundary
+    and sign tests run along rows.
     """
     rates = np.abs(np.concatenate((params.couplings, params.fields)))
     laws = [poisson_parity(r) for r in rates]
-    p_zero = np.array([[law[0] for law in laws]] * copies)
-    p_zero_or_odd = p_zero + np.array([[law[2] for law in laws]] * copies)
+    p_zero = np.array([[law[0] for law in laws]] * 2)
+    p_zero_or_odd = p_zero + np.array([[law[2] for law in laws]] * 2)
     start, stop = (samples * w // workers for w in (worker, worker + 1))
     bitgen = np.random.PCG64(np.random.SeedSequence(seed))
     gen = np.random.Generator(bitgen.advance(start * p_zero.size))
@@ -190,21 +189,6 @@ def _signs(odd: np.ndarray, negative: np.ndarray) -> np.ndarray:
     return 1 - 2 * np.bitwise_xor.reduce(odd[negative], axis=0).view(np.int8)
 
 
-def _moment_terms(
-    odd: np.ndarray, n_edges: int, sites: Sequence[int], negative: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample terms (y, x) of `mc_moment` from `odd` planes (edge axis first).
-
-    y is the signed indicator that the boundary equals `sites`, x the signed
-    indicator that it is empty.
-    """
-    parity = _boundary_parity(odd[:n_edges], odd[n_edges:])
-    sign = _signs(odd, negative)
-    y = sign * _boundary_is(parity, sites).view(np.int8)
-    x = sign * (~parity.any(axis=0)).view(np.int8)
-    return y.astype(float), x.astype(float)
-
-
 def _paired_terms(
     opened: np.ndarray,
     odd: np.ndarray,
@@ -235,14 +219,11 @@ def _paired_terms(
 
 
 def _sample_stats(
-    params: ChainParams,
-    seed: int,
-    samples: int,
-    copies: int,
-    terms: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
+    params: ChainParams, i: int, j: int, seed: int, samples: int
 ) -> tuple[int, float, float, float, float, float]:
     """(n, a_bar, b_bar, var_a, var_b, cov_ab) of the numerator and denominator
-    terms `terms(opened, odd)` of each chunk of `samples` samples.
+    terms `_paired_terms` of pair (i, j) over each chunk of `samples` samples,
+    each sample the pair's two currents.
 
     W worker threads each sum one range of _plane_chunks, W the smaller of
     the usable CPUs and the chunks of a one-worker draw; the calling thread
@@ -261,7 +242,8 @@ def _sample_stats(
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    draws = copies * (params.n_edges + params.n_sites)
+    negative = _negative_mask(params)
+    draws = 2 * (params.n_edges + params.n_sites)
     workers = min(cpus, -(-n // _chunk_rows(draws, n)))
     sums = [np.zeros(5) for _ in range(workers)]
     errors: list[BaseException] = []
@@ -269,10 +251,10 @@ def _sample_stats(
 
     def work(worker: int) -> None:
         try:
-            for planes in _plane_chunks(params, seed, n, copies, workers, worker):
+            for planes in _plane_chunks(params, seed, n, workers, worker):
                 if failed.is_set():
                     return
-                a, b = terms(*planes)
+                a, b = _paired_terms(*planes, params.n_edges, i, j, negative)
                 sums[worker] += (a.sum(), b.sum(), a @ a, b @ b, a @ b)
         except BaseException as exc:  # raised again by the calling thread
             errors.append(exc)
@@ -307,29 +289,6 @@ def _sample_stats(
     return n, a_bar, b_bar, var_a, var_b, cov_ab
 
 
-def mc_moment(
-    params: ChainParams, sites: Sequence[int], samples: int, seed: int
-) -> McEstimate:
-    """Estimate <prod_{x in sites} sigma_x> from sampled currents.
-
-    Numerator and denominator indicators (boundary equals the site set /
-    boundary empty, both sign-weighted) share one sample stream; the standard
-    error propagates through the ratio. Raises InconclusiveEstimateError when
-    the denominator is not separated from zero by 4 standard errors.
-    """
-    cols = sorted({_check_site(params, x) for x in sites})
-    negative = _negative_mask(params)
-    n, y_bar, x_bar, var_y, var_x, cov_yx = _sample_stats(
-        params, seed, samples, 1,
-        lambda _, odd: _moment_terms(odd[:, 0], params.n_edges, cols, negative),
-    )
-    ratio = y_bar / x_bar
-    var_ratio = (var_y - 2.0 * ratio * cov_yx + ratio * ratio * var_x) / (
-        n * x_bar * x_bar
-    )
-    return McEstimate(mean=ratio, std_error=math.sqrt(max(var_ratio, 0.0)), samples=n)
-
-
 def mc_switching_covariance(
     params: ChainParams, i: int, j: int, samples: int, seed: int
 ) -> McEstimate:
@@ -341,11 +300,7 @@ def mc_switching_covariance(
     instances all signs are +1 and the estimate is a ratio of probabilities.
     """
     i, j = _check_pair(params, i, j, "covariance")
-    negative = _negative_mask(params)
-    n, w_bar, d_bar, var_w, var_d, cov_wd = _sample_stats(
-        params, seed, samples, 2,
-        lambda *planes: _paired_terms(*planes, params.n_edges, i, j, negative),
-    )
+    n, w_bar, d_bar, var_w, var_d, cov_wd = _sample_stats(params, i, j, seed, samples)
     ratio = w_bar / (d_bar * d_bar)
     var_ratio = (
         var_w / d_bar**4
@@ -478,7 +433,7 @@ def endpoint_event_counterexamples(n_sites: int, max_entry: int = 3) -> int:
     (even, absent), (odd, present), (even, present); class codes 0, 1, 2
     therefore cover every current with entries <= max_entry. Each class is
     fed through the estimator's own event code as the planes the
-    Monte-Carlo estimators draw: odd = (code == 1), opened = (code > 0).
+    Monte-Carlo estimator draws: odd = (code == 1), opened = (code > 0).
     Returns the number of disagreeing pairs.
     """
     n_sites = _check_integer(n_sites, "n_sites", 2)

@@ -651,6 +651,27 @@ class TestMc:
         assert abs(doc["z_score"]) <= 4.0
         assert doc["mean"] == pytest.approx(doc["exact"], abs=6 * doc["std_error"])
 
+    def test_zero_std_error_writes_an_infinite_z_score(self, capsys, ferro):
+        # README's chain: one sample gives mean 0.0 and std_error 0.0, so
+        # z_score is inf. json.dumps writes it as the non-standard token
+        # Infinity, which a strict parser refuses; CSV writes inf.
+        argv = ["mc", "--instance", ferro, "--i", "0", "--j", "2",
+                "--samples", "1", "--seed", "3"]
+        code, out, err = run(capsys, *argv, "--out", "json")
+        assert code == 5 and err == "mc inconsistency: |z| = inf > 4\n"
+        assert '\n  "z_score": Infinity\n}\n' in out
+        assert json.loads(out)["z_score"] == math.inf
+
+        def strict(token):
+            raise ValueError(f"not JSON: {token}")
+
+        with pytest.raises(ValueError, match="not JSON: Infinity"):
+            json.loads(out, parse_constant=strict)
+        code, out, err = run(capsys, *argv)
+        assert code == 5 and err == "mc inconsistency: |z| = inf > 4\n"
+        header, rows = csv_rows(out)
+        assert dict(zip(header, rows[0]))["z_score"] == "inf"
+
     def test_draws_seed_when_absent(self, capsys, single_edge):
         code, _, err = run(
             capsys, "mc", "--instance", single_edge, "--i", "0", "--j", "1",

@@ -20,7 +20,6 @@ from isingchain import (
     endpoint_event_counterexamples,
     expectation_enum,
     log_partition,
-    mc_moment,
     mc_switching_covariance,
     poisson_parity,
     sample_current_batch,
@@ -410,11 +409,11 @@ class TestSignedMomentSum:
 @pytest.mark.parametrize(
     "call",
     [
-        lambda p: mc_moment(p, (0, 1), samples=10.5, seed=1),
-        lambda p: mc_moment(p, (0, 1), samples=0, seed=1),
-        lambda p: mc_moment(p, (0, 1), samples=10, seed=1.5),
-        lambda p: mc_moment(p, (0, 1), samples=10, seed=-1),
-        lambda p: mc_moment(p, (0, 1), samples=10, seed=2**63),
+        lambda p: mc_switching_covariance(p, 0, 1, samples=10.5, seed=1),
+        lambda p: mc_switching_covariance(p, 0, 1, samples=0, seed=1),
+        lambda p: mc_switching_covariance(p, 0, 1, samples=10, seed=1.5),
+        lambda p: mc_switching_covariance(p, 0, 1, samples=10, seed=-1),
+        lambda p: mc_switching_covariance(p, 0, 1, samples=10, seed=2**63),
         lambda p: mc_switching_covariance(p, 0, 1, True, 1),
         lambda p: mc_switching_covariance(p, 0, 1, 10, True),
         lambda p: sample_current_batch(p, seed=-1, count=4),

@@ -15,7 +15,7 @@ from isingchain import (
     PreconditionError,
     generate_instance,
     instance_seeds,
-    mc_moment,
+    mc_switching_covariance,
 )
 
 
@@ -137,7 +137,7 @@ class TestInstanceSpec:
         with pytest.raises(PreconditionError) as spec_exc:
             InstanceSpec(seed=seed)
         with pytest.raises(PreconditionError) as mc_exc:
-            mc_moment(ChainParams((1.0,), (0.2, 0.1)), (0,), 10, seed)
+            mc_switching_covariance(ChainParams((1.0,), (0.2, 0.1)), 0, 1, 10, seed)
         assert str(spec_exc.value) == str(mc_exc.value)
         assert str(spec_exc.value) == f"seed must be in [0, {2**63}), got {seed}"
 

@@ -1,4 +1,4 @@
-"""Monte-Carlo moment and covariance estimators against exact oracles."""
+"""The Monte-Carlo covariance estimator against exact oracles."""
 
 import json
 import math
@@ -13,8 +13,6 @@ from isingchain import (
     InconclusiveEstimateError,
     PreconditionError,
     covariance,
-    expectation_enum,
-    mc_moment,
     mc_switching_covariance,
     poisson_parity,
 )
@@ -22,7 +20,6 @@ from isingchain import cli, currents
 from isingchain.currents import (
     _ghost_disconnected,
     _mixed_radix_rows,
-    _moment_terms,
     _negative_mask,
     _paired_terms,
     _plane_chunks,
@@ -30,7 +27,7 @@ from isingchain.currents import (
 
 
 def set_cpus(monkeypatch, cpus):
-    """Make `cpus` CPUs usable, as the estimators count them."""
+    """Make `cpus` CPUs usable, as the estimator counts them."""
     usable = set(range(cpus))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: usable, raising=False)
 
@@ -39,84 +36,6 @@ def z_score(estimate, exact):
     if estimate.std_error == 0.0:
         return 0.0 if estimate.mean == exact else math.inf
     return (estimate.mean - exact) / estimate.std_error
-
-
-class TestMcMoment:
-    def test_single_edge_closed_form(self):
-        p = ChainParams((1.0,), (0.0, 0.0))
-        est = mc_moment(p, (0, 1), samples=200_000, seed=42)
-        assert abs(z_score(est, math.tanh(1.0))) <= 4.0
-        assert est.samples == 200_000
-        assert 0.0 < est.std_error < 0.01
-
-    def test_empty_site_set_is_exactly_one(self):
-        p = ChainParams((1.0, 0.5), (0.2, 0.0, 0.1))
-        est = mc_moment(p, (), samples=1000, seed=0)
-        assert est.mean == 1.0 and est.std_error == 0.0
-
-    def test_odd_set_zero_field_is_exactly_zero(self):
-        p = ChainParams((1.0, 0.5), (0.0, 0.0, 0.0))
-        est = mc_moment(p, (1,), samples=2000, seed=0)
-        assert est.mean == 0.0 and est.std_error == 0.0
-
-    def test_matches_enumeration_with_fields(self):
-        p = ChainParams((0.8, 1.2, 0.5), (0.3, 0.1, 0.4, 0.2))
-        exact = expectation_enum(p, (0, 2))
-        est = mc_moment(p, (0, 2), samples=100_000, seed=7)
-        assert abs(z_score(est, exact)) <= 4.0
-
-    def test_matches_enumeration_signed_parameters(self):
-        p = ChainParams((-1.0, 0.7), (0.5, -0.3, 0.2))
-        exact = expectation_enum(p, (0, 2))
-        est = mc_moment(p, (0, 2), samples=200_000, seed=13)
-        assert abs(z_score(est, exact)) <= 4.0
-
-    def test_single_site_mean(self):
-        p = ChainParams((0.9,), (0.6, -0.2))
-        exact = expectation_enum(p, (0,))
-        est = mc_moment(p, (0,), samples=200_000, seed=29)
-        assert abs(z_score(est, exact)) <= 4.0
-
-    def test_deterministic(self):
-        p = ChainParams((1.0,), (0.3, 0.0))
-        a = mc_moment(p, (0, 1), samples=5000, seed=3)
-        b = mc_moment(p, (0, 1), samples=5000, seed=3)
-        assert a == b
-        c = mc_moment(p, (0, 1), samples=5000, seed=4)
-        assert a.mean != c.mean
-
-    def test_chunk_boundary(self):
-        p = ChainParams((1.0,), (0.0, 0.0))
-        n = (1 << 16) + 7
-        est = mc_moment(p, (0, 1), samples=n, seed=1)
-        assert est.samples == n
-
-    def test_error_shrinks_with_samples(self):
-        # Quadrupling the sample count should roughly halve the reported
-        # standard error (1/sqrt(n) scaling); allow slack for the noise in
-        # the variance estimate itself.
-        p = ChainParams((1.0,), (0.2, 0.1))
-        small = mc_moment(p, (0, 1), samples=20_000, seed=5)
-        big = mc_moment(p, (0, 1), samples=80_000, seed=5)
-        assert big.std_error < small.std_error
-        assert small.std_error / big.std_error == pytest.approx(2.0, rel=0.15)
-
-    def test_validation(self):
-        p = ChainParams((1.0,), (0.0, 0.0))
-        with pytest.raises(PreconditionError):
-            mc_moment(p, (0, 5), samples=10, seed=0)
-        with pytest.raises(PreconditionError):
-            mc_moment(p, (0, 1), samples=0, seed=0)
-
-    def test_to_dict(self):
-        p = ChainParams((1.0,), (0.0, 0.0))
-        est = mc_moment(p, (0, 1), samples=1000, seed=0)
-        d = est.to_dict()
-        assert d == {
-            "mean": est.mean,
-            "std_error": est.std_error,
-            "samples": 1000,
-        }
 
 
 class TestMcSwitchingCovariance:
@@ -182,6 +101,26 @@ class TestMcSwitchingCovariance:
         with pytest.raises(PreconditionError):
             mc_switching_covariance(p, 0, 1, samples=-1, seed=0)
 
+    def test_error_shrinks_with_samples(self):
+        # Quadrupling the sample count should roughly halve the reported
+        # standard error (1/sqrt(n) scaling); allow slack for the noise in
+        # the variance estimate itself.
+        p = ChainParams((1.0,), (0.2, 0.1))
+        small = mc_switching_covariance(p, 0, 1, samples=20_000, seed=5)
+        big = mc_switching_covariance(p, 0, 1, samples=80_000, seed=5)
+        assert big.std_error < small.std_error
+        assert small.std_error / big.std_error == pytest.approx(2.0, rel=0.15)
+
+    def test_to_dict(self):
+        p = ChainParams((1.0,), (0.0, 0.0))
+        est = mc_switching_covariance(p, 0, 1, samples=1000, seed=0)
+        d = est.to_dict()
+        assert d == {
+            "mean": est.mean,
+            "std_error": est.std_error,
+            "samples": 1000,
+        }
+
 
 def class_law(params):
     """(P(absent), P(odd), P(even and positive)) per edge, lattice edges first."""
@@ -235,7 +174,7 @@ def test_ghost_disconnected_is_the_flood_fill(n_sites):
 
 
 class TestClassLaw:
-    """The estimators' per-sample terms, averaged exactly over the class law."""
+    """The estimator's per-sample terms, averaged exactly over the class law."""
 
     @pytest.mark.parametrize("params, i, j", GATE_CHAINS)
     def test_covariance_ratio_is_exact(self, params, i, j):
@@ -257,21 +196,11 @@ class TestClassLaw:
             e_d += prob[start : start + block] @ d @ prob
         assert e_w / e_d**2 == pytest.approx(covariance(params, i, j), rel=1e-12)
 
-    @pytest.mark.parametrize("params, i, j", GATE_CHAINS)
-    def test_moment_ratio_is_exact(self, params, i, j):
-        _, odd, prob = class_table(params)
-        negative = _negative_mask(params)
-        for sites in ((i,), (j,), (i, j), (0, i, j)):
-            y, x = _moment_terms(odd, params.n_edges, sorted(set(sites)), negative)
-            assert (prob @ y) / (prob @ x) == pytest.approx(
-                expectation_enum(params, sites), rel=1e-12
-            )
-
     def test_sampled_class_frequencies(self):
         params = ChainParams((0.3, -1.5, 0.05), (0.0, 0.7, -2.5, 0.2))
         n = 200_000
         counts = np.zeros((params.n_edges + params.n_sites, 3))
-        for opened, odd in _plane_chunks(params, seed=99, samples=n, copies=2):
+        for opened, odd in _plane_chunks(params, seed=99, samples=n):
             # back to class codes: 0 absent, 1 odd, 2 even and positive
             chunk = 2 * opened.transpose(2, 1, 0) - odd
             for c in range(3):
@@ -282,13 +211,10 @@ class TestClassLaw:
         assert (np.abs(counts / total - law) <= 4.0 * stderr).all()
         assert counts[params.n_edges, 0] == total  # zero rate: always absent
 
-    @pytest.mark.parametrize("estimator", ["moment", "covariance"])
-    def test_chunk_size_invariant(self, monkeypatch, estimator):
+    def test_chunk_size_invariant(self, monkeypatch):
         params = ChainParams((0.8, -0.4, 1.1), (0.2, 0.1, -0.3, 0.25))
 
         def run():
-            if estimator == "moment":
-                return mc_moment(params, (0, 3), samples=5003, seed=12)
             return mc_switching_covariance(params, 0, 3, samples=5003, seed=12)
 
         default = run()
@@ -298,7 +224,7 @@ class TestClassLaw:
     def test_long_chains_get_short_chunks(self, monkeypatch):
         # 129 edge laws: the draw cap, not the sample cap, sets the chunk
         params = ChainParams((0.01,) * 64, (0.0,) * 65)
-        sizes = [odd.shape[2] for _, odd in _plane_chunks(params, 1, 10_000, copies=2)]
+        sizes = [odd.shape[2] for _, odd in _plane_chunks(params, 1, 10_000)]
         assert sum(sizes) == 10_000
         assert max(sizes) < currents._CHUNK
         assert len(sizes) > 1 and max(sizes) * 2 * 129 <= currents._CHUNK_DRAWS
@@ -311,8 +237,7 @@ class TestClassLaw:
         # One stream per call: every PCG64 a call makes is
         # PCG64(SeedSequence(seed)) advanced to the first draw of its range,
         # and the ranges tile [0, samples) in order. 70 000 samples are 9
-        # chunks, so a call makes one generator per usable CPU: on one CPU
-        # the two calls make exactly 2.
+        # chunks, so a call makes one generator per usable CPU.
         real = np.random.PCG64
         made = []
 
@@ -328,29 +253,21 @@ class TestClassLaw:
 
         monkeypatch.setattr(np.random, "PCG64", Recording)
         params = ChainParams((1.0,) * 5, (0.1,) * 6)
-        width = params.n_edges + params.n_sites
+        draws = 2 * (params.n_edges + params.n_sites)
         samples = 70_000
-        calls = (
-            (2, lambda: mc_switching_covariance(params, 0, 5, samples=samples, seed=3)),
-            (1, lambda: mc_moment(params, (0, 5), samples=samples, seed=3)),
-        )
         for cpus in (1, 2, 3, 7):
             set_cpus(monkeypatch, cpus)
-            per_call = []
-            for copies, call in calls:
-                made.clear()
-                call()
-                per_call.append(len(made))
-                draws = copies * width
-                made.sort(key=lambda gen: gen.delta)
-                starts = [gen.delta // draws for gen in made]
-                assert [gen.delta % draws for gen in made] == [0] * len(made)
-                assert starts[0] == 0
-                for gen, stop in zip(made, starts[1:] + [samples]):
-                    assert gen.given.entropy == 3 and gen.given.spawn_key == ()
-                    want = real(np.random.SeedSequence(3)).advance(stop * draws)
-                    assert gen.state["state"] == want.state["state"]
-            assert per_call == [cpus, cpus]
+            made.clear()
+            mc_switching_covariance(params, 0, 5, samples=samples, seed=3)
+            assert len(made) == cpus
+            made.sort(key=lambda gen: gen.delta)
+            starts = [gen.delta // draws for gen in made]
+            assert [gen.delta % draws for gen in made] == [0] * len(made)
+            assert starts[0] == 0
+            for gen, stop in zip(made, starts[1:] + [samples]):
+                assert gen.given.entropy == 3 and gen.given.spawn_key == ()
+                want = real(np.random.SeedSequence(3)).advance(stop * draws)
+                assert gen.state["state"] == want.state["state"]
 
 
 # A signed chain, and the 129-edge chain whose covariance chunks the draw cap sets.
@@ -374,9 +291,8 @@ def test_worker_count_cannot_move_an_estimate(monkeypatch, params, i, j, samples
     seen = {}
     for cpus in (1, 2, 3, 7):
         set_cpus(monkeypatch, cpus)
-        seen[cpus] = (
-            outcome(lambda: mc_moment(params, (i, j), samples, seed=21)),
-            outcome(lambda: mc_switching_covariance(params, i, j, samples, seed=21)),
+        seen[cpus] = outcome(
+            lambda: mc_switching_covariance(params, i, j, samples, seed=21)
         )
     assert seen[2] == seen[1] and seen[3] == seen[1] and seen[7] == seen[1]
 

@@ -1,8 +1,8 @@
-"""Pinned Monte-Carlo estimates: every estimator output, bit for bit.
+"""Pinned Monte-Carlo estimates: the covariance estimator's output, bit for bit.
 
 Each case records the reprs of the mean and std_error and the sample count,
 or "inconclusive" where the estimator raises InconclusiveEstimateError. The
-estimators' per-sample terms are integers or half-integers, so every sum is
+estimator's per-sample terms are integers or half-integers, so every sum is
 an exact count and these values cannot move with how the terms are computed
 or grouped; only a change to the uniform stream or to a term can move them.
 The cases straddle the chunk edges, include a 65-site chain whose covariance
@@ -17,12 +17,11 @@ from isingchain import (
     InconclusiveEstimateError,
     InstanceSpec,
     generate_instance,
-    mc_moment,
     mc_switching_covariance,
 )
 from isingchain.currents import _CHUNK
 
-# name -> (params, i, j); the moment estimator reads the site set {i, j}
+# name -> (params, i, j)
 CHAINS = {
     "ferro": (ChainParams((1.0, 0.6, 0.8), (0.2, 0.0, 0.5, 0.1)), 0, 3),
     "signed": (ChainParams((-1.0, 0.7, 1.2), (0.5, -0.3, 0.2, -0.1)), 0, 3),
@@ -51,32 +50,6 @@ CHAINS = {
 }
 
 PINNED = {
-    ("moment", "ferro", 1, 7): "inconclusive",
-    ("moment", "ferro", 8191, 7): "0.3256924546322827 0.02030852641253275 8191",
-    ("moment", "ferro", 8192, 7): "0.3256924546322827 0.02030852626118549 8192",
-    ("moment", "ferro", 8193, 7): "0.3256924546322827 0.02030852610987518 8193",
-    ("moment", "ferro", 20001, 7): "0.3416 0.01353977067055421 20001",
-    ("moment", "signed", 1, 7): "inconclusive",
-    ("moment", "signed", 8191, 7): "-0.31360946745562135 0.030992130699401044 8191",
-    ("moment", "signed", 8192, 7): "-0.3136094674556213 0.03099213046843529 8192",
-    ("moment", "signed", 8193, 7): "-0.31360946745562135 0.030992130237525926 8193",
-    ("moment", "signed", 20001, 7): "-0.3506900878293601 0.021713343973941836 20001",
-    ("moment", "zero_field", 1, 7): "inconclusive",
-    ("moment", "zero_field", 8191, 7): "-0.2835314091680815 0.014351988439277047 8191",
-    ("moment", "zero_field", 8192, 7): "-0.2835314091680815 0.014351988332320289 8192",
-    ("moment", "zero_field", 8193, 7): "-0.2835314091680815 0.014351988225389644 8193",
-    ("moment", "zero_field", 20001, 7):
-        "-0.2893815635939323 0.009331717899235372 20001",
-    ("moment", "ferro", 1, 4): "0.0 0.0 1",
-    ("moment", "signed", 1, 2): "0.0 0.0 1",
-    ("moment", "zero_field", 1, 2): "0.0 0.0 1",
-    ("moment", "capped65", 10000, 4): "0.020131470829909612 0.002904873701092112 10000",
-    ("moment", "capped65", 20001, 4):
-        "0.021241830065359478 0.0021049918330649977 20001",
-    ("moment", "inconclusive", 8, 0): "inconclusive",
-    ("moment", "inconclusive", 1, 3): "inconclusive",
-    ("moment", "mc_workload", 100000, 1):
-        "0.355709114840408 0.012597012965508879 100000",
     ("covariance", "ferro", 1, 7): "inconclusive",
     ("covariance", "ferro", 8191, 7): "0.11581204637571874 0.02993193905268322 8191",
     ("covariance", "ferro", 8192, 7): "0.11582618531435573 0.029935596416630253 8192",
@@ -112,12 +85,10 @@ PINNED = {
 
 
 def _outcome(estimator, chain, samples, seed):
+    assert estimator == "covariance"
     params, i, j = CHAINS[chain]
     try:
-        if estimator == "moment":
-            est = mc_moment(params, (i, j), samples=samples, seed=seed)
-        else:
-            est = mc_switching_covariance(params, i, j, samples=samples, seed=seed)
+        est = mc_switching_covariance(params, i, j, samples=samples, seed=seed)
     except InconclusiveEstimateError:
         return "inconclusive"
     return f"{est.mean!r} {est.std_error!r} {est.samples}"

@@ -1,10 +1,11 @@
-"""The benchmark tracer's targets exist in the package.
+"""The benchmark's tracer targets and package imports exist in the package.
 
-perfbench/spans.py wraps package functions by (module, name); a target that
-is renamed or deleted breaks only a traced benchmark run, so it is checked
-here.
+perfbench/spans.py wraps package functions by (module, name), and the
+benchmark's scripts import package names; a name that is renamed or deleted
+breaks only a benchmark run, so both are checked here.
 """
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -13,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def load_spans():
@@ -32,6 +34,42 @@ SPANS_MODULE = load_spans()
 def test_tracer_target_exists(module, name):
     target = getattr(importlib.import_module(f"isingchain.{module}"), name, None)
     assert callable(target), f"isingchain.{module}.{name} is missing"
+
+
+def package_imports():
+    """(script, module, name) of every package import in perfbench/*.py.
+
+    `import isingchain.m` gives name None; `from isingchain.m import n` gives
+    name n, imports inside functions included.
+    """
+    found = []
+    for script in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(script.read_text(), str(script))):
+            if isinstance(node, ast.Import):
+                found += [
+                    (script.name, alias.name, None)
+                    for alias in node.names
+                    if alias.name.split(".")[0] == "isingchain"
+                ]
+            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                if node.module.split(".")[0] == "isingchain":
+                    found += [(script.name, node.module, a.name) for a in node.names]
+    return found
+
+
+PACKAGE_IMPORTS = package_imports()
+
+
+def test_benchmark_imports_the_package():
+    # The collector must see the import that every benchmark run makes.
+    assert ("run.py", "isingchain.cli", None) in PACKAGE_IMPORTS
+
+
+@pytest.mark.parametrize("script, module, name", PACKAGE_IMPORTS)
+def test_benchmark_package_import_resolves(script, module, name):
+    imported = importlib.import_module(module)
+    if name is not None:
+        assert hasattr(imported, name), f"{script}: {module}.{name} is missing"
 
 
 def test_threaded_mc_calls_trace_one_root_each(monkeypatch, capsys, tmp_path):

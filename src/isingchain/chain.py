@@ -13,11 +13,16 @@ for bit, and every operation refuses inputs above the enumeration cap
 instead of approximating. log Z, the means and the covariances come from
 one such pass per instance, cached on it as ``params.enumeration``. The
 sites are cut into three pieces of at most 8 sites each, and every reader sums
-the weights against one matrix per piece in one contraction (_contract).
+the weights against one matrix per piece in one contraction (_contract). What
+depends only on the chain length (the cuts, the pieces' spin tables, their
+bond products and the pass's matrices) is built once per length and shared,
+read-only, by every instance of that length (_layout); only the weights are
+computed per instance.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -261,30 +266,81 @@ def _check_pair(
     return (i, j) if i < j else (j, i)
 
 
-def _cuts(n_sites: int) -> tuple[int, int, int, int]:
-    """(0, A, L, N): the oracle's three pieces of sites [0, A), [A, L) and
-    [L, N), with L = min(_BLOCK_BITS, N) low sites and A = ceil(L / 2)."""
+class _Layout(NamedTuple):
+    """The oracle's tables that depend only on the chain length (_layout).
+
+    ``cuts`` is (0, A, L, N): the three pieces of sites [0, A), [A, L) and
+    [L, N), with L = min(_BLOCK_BITS, N) low sites and A = ceil(L / 2).
+    ``spins`` holds the spin table of each piece, at most 2^8 rows each: row
+    k carries spin -1 at the piece's site x when bit x of k is 1, +1
+    otherwise, and configuration a + 2^A b + 2^L h has rows a, b and h.
+    ``bonds`` holds each table's products of neighbouring spins. ``columns``
+    holds each piece's matrix [1 | its spins | the product of each pair
+    x < y of its spins, ordered by y], which _enumerate contracts against.
+    ``first`` indexes each site's first moment in that contraction, and
+    ``second`` the second moment of each pair ``upper`` of
+    np.triu_indices(N, 1).
+    """
+
+    cuts: tuple[int, int, int, int]
+    spins: tuple[np.ndarray, ...]
+    bonds: tuple[np.ndarray, ...]
+    columns: tuple[np.ndarray, ...]
+    first: tuple[np.ndarray, ...]
+    second: tuple[np.ndarray, ...]
+    upper: tuple[np.ndarray, np.ndarray]
+
+
+@functools.lru_cache(maxsize=ENUMERATION_CAP)
+def _layout(n_sites: int) -> _Layout:
+    """The _Layout of an n_sites chain, built once per length; every array
+    is read-only, as every instance of that length shares it."""
     n_low = min(_BLOCK_BITS, n_sites)
-    return 0, (n_low + 1) // 2, n_low, n_sites
+    cuts = 0, (n_low + 1) // 2, n_low, n_sites
+    # piece a is the widest, and the other pieces' tables are corners of its table
+    k = np.arange(1 << cuts[1])
+    sa = _read_only(1.0 - 2.0 * ((k[:, None] >> np.arange(cuts[1])) & 1))
+    spins = tuple(sa[: 1 << (hi - lo), : hi - lo] for lo, hi in zip(cuts, cuts[1:]))
+    bonds = tuple(_read_only(s[:, :-1] * s[:, 1:]) for s in spins)
+    # the pairs x < y of the first, widest piece, ordered by y: those of a
+    # piece of width w are the first w (w - 1) / 2
+    y, x = np.nonzero(np.tri(cuts[1], k=-1, dtype=bool))
+    columns = []
+    for s in spins:
+        n_pairs = s.shape[1] * (s.shape[1] - 1) // 2
+        products = s[:, x[:n_pairs]] * s[:, y[:n_pairs]]
+        columns.append(_read_only(np.hstack((np.ones((len(s), 1)), s, products))))
+    # per site, its piece and its spin column 1 + t in that piece's matrix;
+    # the product of a piece's sites t < u is column 1 + w + u (u - 1) / 2 + t
+    piece = np.repeat(np.arange(3), np.diff(cuts))
+    spin = 1 + np.arange(n_sites) - np.take(cuts, piece)
+    i, j = upper = np.triu_indices(n_sites, 1)
+    product = np.diff(cuts)[piece[i]] + (spin[j] - 1) * (spin[j] - 2) // 2 + spin[i]
+    first, second = [], []
+    for q in range(3):
+        first.append(np.where(piece == q, spin, 0))
+        # a pair within piece q reads its product column, one across reads
+        # the spin column of each of its two pieces
+        own = np.where(piece[j] == q, product, spin[i])
+        second.append(np.where(piece[i] == q, own, np.where(piece[j] == q, spin[j], 0)))
+    first, second, upper = (tuple(map(_read_only, a)) for a in (first, second, upper))
+    return _Layout(cuts, spins, bonds, tuple(columns), first, second, upper)
 
 
-def _neg_energy(params: ChainParams, lo: int, spins: np.ndarray) -> np.ndarray:
+def _neg_energy(
+    params: ChainParams, lo: int, spins: np.ndarray, bonds: np.ndarray
+) -> np.ndarray:
     """-H of each row of the spin table of sites lo, lo + 1, ... on their own
-    sub-chain (its own bonds and fields)."""
+    sub-chain (its own bonds and fields), given the table's bond products."""
     hi = lo + spins.shape[1]
-    bonds = (spins[:, :-1] * spins[:, 1:]) @ params.couplings[lo : hi - 1]
-    return bonds + spins @ params.fields[lo:hi]
+    return bonds @ params.couplings[lo : hi - 1] + spins @ params.fields[lo:hi]
 
 
-def _factors(
-    params: ChainParams,
-) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray, float]:
-    """(spins, tables, c, shift): every Gibbs weight as a product of two
-    factors, weight = exp(shift) * c[h] * tables[h & 1][b, a].
+def _factors(params: ChainParams) -> tuple[np.ndarray, np.ndarray, float]:
+    """(tables, c, shift): every Gibbs weight as a product of two factors,
+    weight = exp(shift) * c[h] * tables[h & 1][b, a], with the rows a, b
+    and h of the spin tables of _layout.
 
-    ``spins`` holds the spin table of each piece of _cuts, at most 2^8 rows
-    each: row k carries spin -1 at the piece's site x when bit x of k is 1,
-    +1 otherwise, and configuration a + 2^A b + 2^L h has rows a, b and h.
     Once the spin on site L (bit 0 of h) is fixed, the low sites [0, L) and
     the high ones are independent, so the low chain's -H in its version for
     that spin (the link coupling J[L-1] sees it) is shifted by its own
@@ -298,13 +354,13 @@ def _factors(
     nothing overflows however large |J| and |h| are. Ratios of sums are
     shift-free; log Z is shift plus the log of the weight sum.
     """
-    _, half, n_low, _ = cuts = _cuts(params.n_sites)
-    # piece a is the widest, and the other pieces' tables are corners of its table
-    k = np.arange(1 << half)
-    sa = 1.0 - 2.0 * ((k[:, None] >> np.arange(half)) & 1)
-    spins = tuple(sa[: 1 << (hi - lo), : hi - lo] for lo, hi in zip(cuts, cuts[1:]))
-    e_a, e_b, e_high = (_neg_energy(params, lo, s) for lo, s in zip(cuts, spins))
-    _, sb, sh = spins
+    layout = _layout(params.n_sites)
+    _, half, n_low, _ = cuts = layout.cuts
+    e_a, e_b, e_high = (
+        _neg_energy(params, lo, s, b)
+        for lo, s, b in zip(cuts, layout.spins, layout.bonds)
+    )
+    _, sb, sh = layout.spins
     # rest[p, b, q]: -H of piece b and of the bonds (A-1, A) and (L-1, L) for
     # spin (+1, -1)[q] on site A-1, the top bit of a, and (+1, -1)[p] on site L
     # (a one-site chain has no piece b and no bond A-1)
@@ -319,7 +375,7 @@ def _factors(
     np.exp(tables, out=tables)
     exponent = top[np.arange(len(sh)) & (len(tables) - 1)] + e_high
     shift = float(exponent.max())
-    return spins, tables, np.exp(exponent - shift), shift
+    return tables, np.exp(exponent - shift), shift
 
 
 def _contract(
@@ -366,32 +422,14 @@ def _enumerate(params: ChainParams) -> Enumeration:
     pieces their two spin columns. The second moment of a site with itself
     is Z, as sigma^2 = 1.
     """
-    spins, tables, c, shift = _factors(params)
-    widths = [s.shape[1] for s in spins]
-    n_pairs = [w * (w - 1) // 2 for w in widths]
-    # the pairs x < y of the first, widest piece, ordered by y: those of a
-    # piece of width w are the first w (w - 1) / 2
-    y, x = np.nonzero(np.tri(widths[0], k=-1, dtype=bool))
-    columns = [
-        np.hstack((np.ones((len(s), 1)), s, s[:, x[:k]] * s[:, y[:k]]))
-        for s, k in zip(spins, n_pairs)
-    ]
-    sums = _contract(tables, c, *columns)
-    n, cuts = params.n_sites, _cuts(params.n_sites)
-    sites = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    spin = [slice(1, 1 + w) for w in widths]
+    layout = _layout(params.n_sites)
+    tables, c, shift = _factors(params)
+    sums = _contract(tables, c, *layout.columns)
     z = float(sums[0, 0, 0])
-    first = np.empty(n)
+    means = sums[layout.first] / z
     # only the upper triangle is read (cov below mirrors it)
-    second = np.diag(np.full(n, z))
-    own = (sums[:, 0, 0], sums[0, :, 0], sums[0, 0])
-    for lo, w, k, sums_q in zip(cuts, widths, n_pairs, own):
-        first[lo : lo + w] = sums_q[1 : 1 + w]
-        second[lo + x[:k], lo + y[:k]] = sums_q[1 + w :]
-    second[sites[0], sites[1]] = sums[spin[0], spin[1], 0]
-    second[sites[0], sites[2]] = sums[spin[0], 0, spin[2]]
-    second[sites[1], sites[2]] = sums[0, spin[1], spin[2]]
-    means = first / z
+    second = np.diag(np.full(params.n_sites, z))
+    second[layout.upper] = sums[layout.second]
     cov = second / z - np.outer(means, means)
     cov = np.triu(cov) + np.triu(cov, 1).T
     return Enumeration(shift + math.log(z), _read_only(means), _read_only(cov))
@@ -418,10 +456,11 @@ def expectation_enum(params: ChainParams, sites: Sequence[int]) -> float:
     """
     _require_enumerable(params)
     cols = {_check_site(params, x) for x in sites}
-    spins, tables, c, _ = _factors(params)
-    cuts = _cuts(params.n_sites)
+    layout = _layout(params.n_sites)
+    tables, c, _ = _factors(params)
+    cuts = layout.cuts
     columns = []
-    for s, lo, hi in zip(spins, cuts, cuts[1:]):
+    for s, lo, hi in zip(layout.spins, cuts, cuts[1:]):
         product = s[:, [x - lo for x in cols if lo <= x < hi]].prod(axis=1)
         columns.append(np.column_stack((np.ones(len(s)), product)))
     sums = _contract(tables, c, *columns)
@@ -448,8 +487,8 @@ def window_marginal_enum(params: ChainParams, i: int, j: int) -> np.ndarray:
     i, j = _check_site(params, i, "i"), _check_site(params, j, "j")
     if i > j:
         raise PreconditionError("window needs i <= j")
-    _, tables, c, _ = _factors(params)
-    cuts = _cuts(params.n_sites)
+    tables, c, _ = _factors(params)
+    cuts = _layout(params.n_sites).cuts
     one_hot = []
     for lo, hi in zip(cuts, cuts[1:]):
         width = max(min(j + 1, hi) - max(i, lo), 0)

@@ -26,7 +26,6 @@ import dataclasses
 import functools
 import itertools
 import json
-import math
 import os
 import sys
 from operator import itemgetter
@@ -45,7 +44,7 @@ from .bounds import (
     format_cell,
 )
 from .chain import ENUMERATION_CAP, ChainParams, _check_integer, enum_summary
-from .errors import ChainError, ParseError, PreconditionError
+from .errors import ChainError, InconclusiveEstimateError, ParseError, PreconditionError
 from .instances import SEED_LIMIT, InstanceSpec, generate_instance, instance_seeds
 from .currents import mc_switching_covariance
 from .transfer import covariance, log_partition
@@ -248,8 +247,14 @@ def cmd_mc(args: argparse.Namespace) -> int:
     exact = covariance(params, i, j)
     if estimate.std_error > 0.0:
         z_score = (estimate.mean - exact) / estimate.std_error
+    elif estimate.mean == exact:
+        z_score = 0.0
     else:
-        z_score = 0.0 if estimate.mean == exact else math.inf
+        # no spread among the samples says nothing about how far the mean is
+        raise InconclusiveEstimateError(
+            "standard error is 0 and the mean differs from the exact value: "
+            "too few samples to compare them"
+        )
     result = {
         "i": min(i, j),
         "j": max(i, j),

@@ -35,7 +35,9 @@ class DecayRateUndefinedError(PreconditionError):
 
 
 class InconclusiveEstimateError(ChainError):
-    """Monte-Carlo denominator not separated from zero; the ratio is unusable."""
+    """A Monte-Carlo estimate too uncertain to judge: its denominator is not
+    separated from zero, or its standard error is 0 with the mean away from
+    the exact value."""
 
     exit_code = 5
 

@@ -651,26 +651,34 @@ class TestMc:
         assert abs(doc["z_score"]) <= 4.0
         assert doc["mean"] == pytest.approx(doc["exact"], abs=6 * doc["std_error"])
 
-    def test_zero_std_error_writes_an_infinite_z_score(self, capsys, ferro):
-        # README's chain: one sample gives mean 0.0 and std_error 0.0, so
-        # z_score is inf. json.dumps writes it as the non-standard token
-        # Infinity, which a strict parser refuses; CSV writes inf.
+    def test_zero_std_error_off_the_exact_value_is_inconclusive(self, capsys, ferro):
+        # README's chain: one sample gives mean 0.0 and std_error 0.0, away
+        # from the exact covariance. No spread is no evidence either way, so
+        # mc refuses the estimate like a zero denominator: exit 5, no row.
         argv = ["mc", "--instance", ferro, "--i", "0", "--j", "2",
                 "--samples", "1", "--seed", "3"]
-        code, out, err = run(capsys, *argv, "--out", "json")
-        assert code == 5 and err == "mc inconsistency: |z| = inf > 4\n"
-        assert '\n  "z_score": Infinity\n}\n' in out
-        assert json.loads(out)["z_score"] == math.inf
+        for out_format in ("csv", "json"):
+            code, out, err = run(capsys, *argv, "--out", out_format)
+            assert code == 5 and out == ""
+            assert err == (
+                "error: standard error is 0 and the mean differs from the exact "
+                "value: too few samples to compare them\n"
+            )
 
-        def strict(token):
-            raise ValueError(f"not JSON: {token}")
+    def test_zero_std_error_at_the_exact_value_scores_zero(
+        self, capsys, ferro, monkeypatch
+    ):
+        def fake(params, i, j, samples, seed):
+            exact = covariance(params, i, j)
+            return McEstimate(mean=exact, std_error=0.0, samples=samples)
 
-        with pytest.raises(ValueError, match="not JSON: Infinity"):
-            json.loads(out, parse_constant=strict)
-        code, out, err = run(capsys, *argv)
-        assert code == 5 and err == "mc inconsistency: |z| = inf > 4\n"
-        header, rows = csv_rows(out)
-        assert dict(zip(header, rows[0]))["z_score"] == "inf"
+        monkeypatch.setattr("isingchain.cli.mc_switching_covariance", fake)
+        code, out, err = run(
+            capsys, "mc", "--instance", ferro, "--i", "0", "--j", "2",
+            "--samples", "1", "--seed", "3", "--out", "json",
+        )
+        assert code == 0 and err == ""
+        assert json.loads(out)["z_score"] == 0.0
 
     def test_draws_seed_when_absent(self, capsys, single_edge):
         code, _, err = run(

@@ -9,6 +9,7 @@ rises between blocks. Below 13 sites, log Z, every mean and every covariance
 are also gated against a 50-digit mpmath enumeration.
 """
 
+import json
 import math
 import tracemalloc
 
@@ -28,7 +29,8 @@ from isingchain import (
     site_mean,
     window_marginal_enum,
 )
-from isingchain import chain
+from isingchain import chain, cli
+from isingchain.instances import instance_seeds
 
 from conftest import random_params
 from test_acceptance import excess
@@ -189,6 +191,70 @@ def test_enumeration_built_once_and_read_only():
         oracle.cov[0, 1] = 0.0
 
 
+def _layout_arrays(layout):
+    # every field but the cuts is a tuple of arrays
+    return [values for field in layout[1:] for values in field]
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 16, 17, 20])
+def test_cached_layout_is_read_only(n):
+    # every instance of this length reads these arrays
+    for values in _layout_arrays(chain._layout(n)):
+        with pytest.raises(ValueError, match="read-only"):
+            values[...] = 0
+
+
+def test_same_length_instances_share_the_layout(monkeypatch):
+    contract = chain._contract
+    columns = []
+
+    def spy(tables, c, *matrices):
+        columns.append(matrices)
+        return contract(tables, c, *matrices)
+
+    monkeypatch.setattr(chain, "_contract", spy)
+    rng = np.random.default_rng(13)
+    for n in (13, 13, 14):
+        random_params(rng, n).enumeration
+    one, two, other = columns
+    assert all(a is b for a, b in zip(one, two))
+    assert not any(a is b for a, b in zip(one, other))
+    assert chain._layout.cache_info().maxsize == chain.ENUMERATION_CAP
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 16, 17, 20])
+def test_cold_layout_gives_the_warm_enumeration(n):
+    rng = np.random.default_rng(n)
+    params = random_params(rng, n, -1e3, 1e3, -1e3, 1e3)
+    chain._layout.cache_clear()
+    cold = ChainParams(params.couplings, params.fields).enumeration
+    random_params(rng, n, -1e3, 1e3, -1e3, 1e3).enumeration
+    warm = ChainParams(params.couplings, params.fields).enumeration
+    assert np.float64(cold.log_z).tobytes() == np.float64(warm.log_z).tobytes()
+    assert cold.means.tobytes() == warm.means.tobytes()
+    assert cold.cov.tobytes() == warm.cov.tobytes()
+
+
+def test_sweep_rows_independent_of_earlier_instances(capsys, tmp_path, monkeypatch):
+    # Five 13-site instances swept in one order and in the reverse one, each
+    # time from an empty cache: each instance's rows, which pass the oracle
+    # check, must not depend on the instances swept before it.
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n_sites": 13, "seed": 1}), encoding="utf-8")
+    seeds = instance_seeds(1, 5)
+    rows = []
+    for order in (seeds, seeds[::-1]):
+        monkeypatch.setattr(cli, "instance_seeds", lambda root, count, order=order: order)
+        chain._layout.cache_clear()
+        argv = ["sweep", "--spec", str(spec), "--pairs", "all", "--count", "5"]
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert len(lines) == 5 * 78
+        # drop the instance index, which is the sweep position
+        rows.append(sorted(line.split(",", 1)[1] for line in lines))
+    assert rows[0] == rows[1]
+
+
 # Windows and site sets below, across and above the cuts of an 18-site chain
 # into the pieces [0, 8), [8, 16) and [16, 18).
 WINDOWS = [
@@ -227,7 +293,7 @@ def test_factors_are_the_weights(n):
     # add a few ulps. Only normal reference weights are compared.
     rng = np.random.default_rng(n)
     for params in (random_params(rng, n), random_params(rng, n, -1e3, 1e3, -1e3, 1e3)):
-        _, tables, c, shift = chain._factors(params)
+        tables, c, shift = chain._factors(params)
         weights = (c[:, None, None] * tables[np.arange(len(c)) % len(tables)]).ravel()
         blocks = list(_ref_energy_blocks(params))
         energy = np.concatenate([e for _, e in blocks])
@@ -248,9 +314,11 @@ def test_enumeration_peak_memory_below_one_bond_table():
     # The 2^16 x 15 float64 bond-product table alone is 7.5 MiB, and the
     # oracle that built its energies on a cached 2^16-row spin table peaked
     # at 4.75 MiB at the cap; the bound holds from one table and one h (16
-    # sites) up to the cap, with nothing cached beforehand.
+    # sites) up to the cap, with nothing cached beforehand (the length's
+    # tables are built inside the traced pass).
     for n in (16, chain.ENUMERATION_CAP):
         params = random_params(np.random.default_rng(16), n)
+        chain._layout.cache_clear()
         tracemalloc.start()
         try:
             params.enumeration
